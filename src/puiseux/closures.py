@@ -17,11 +17,13 @@ denominators d.  Two shapes cover the catalog:
 
 The conductor is {x in the group | x + closure <= M}.  Its shape follows
 a small rule table: root-closed monoids keep everything (R1); finitely
-generated monoids keep the tail from sigma = scale * (largest gap) (R2);
-non-finitely-generated increasing monoids have unbounded closure-minus-
-monoid, hence empty conductor (R3); the all-primes reciprocal family is
-empty as well (R4); everything else is reported unknown rather than
-extrapolated (R5).
+generated monoids keep the tail from sigma = scale * (largest gap) (R2),
+read off the canonical form, so R2 covers every finitely generated family,
+bounded prime-reciprocal truncations included, whenever that form fits its
+budget; non-finitely-generated increasing monoids have unbounded closure-
+minus-monoid, hence empty conductor (R3); the all-primes reciprocal family
+is empty as well (R4); everything else, a canonical form out of reach
+included, is reported unknown rather than extrapolated (R5).
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from .families import (
     PrimeReciprocalShift,
     UnitFractionPowers,
     canonical_fg,
-    generator_count,
     generator_stream,
     is_finitely_generated,
 )
@@ -355,28 +356,18 @@ _GP_RULE_NONFG = (
 
 
 def fg_lattice_step(spec: MonoidSpec) -> Fraction | None:
-    """Closure lattice step scale = g/L for finitely generated specs.
+    """Closure lattice step scale = g/L for finitely generated specs, else None.
 
-    Cheap: only lcm/gcd arithmetic, no residue tables, so it works even for
+    The step of the difference group, which for a finitely generated monoid
+    is a lattice: cheap, with no residue tables, so it works even for
     prime-reciprocal truncations whose lcm is a primorial.
     """
-    if isinstance(spec, Geometric) and spec.ratio.denominator == 1:
-        return Fraction(1)
-    if isinstance(spec, PrimeReciprocalShift) and spec.prime_bound is not None:
-        gens = generator_stream(spec, generator_count(spec))
-    elif isinstance(spec, FiniteGenerators):
-        gens = spec.generators
-    elif isinstance(spec, CantorShift):
-        gens = generator_stream(spec, generator_count(spec))
-    elif isinstance(spec, IncreasingSequence) and isinstance(spec.tail, AffineTail):
-        group = difference_group(spec)
-        assert isinstance(group, CyclicScaled)
-        return group.step
-    else:
+    if not is_finitely_generated(spec):
         return None
-    den = math.lcm(*(g.denominator for g in gens))
-    num = math.gcd(*(int(g * den) for g in gens))
-    return Fraction(num, den)
+    group = difference_group(spec)
+    if isinstance(group, CyclicScaled):
+        return group.step
+    return Fraction(group.unit, group.max_denominator())
 
 
 def gp_density(spec: MonoidSpec) -> GpDensityVerdict:
@@ -448,66 +439,23 @@ _R4 = (
 _R5 = "R5: outside the rule table"
 
 
-def _fg_conductor(cf) -> ConductorResult:
-    if cf.nm.frobenius < 0:
-        return ConductorResult(ConductorKind.EQUALS_M, rule=_R1)
-    sigma = cf.scale * cf.nm.frobenius
-    return ConductorResult(
-        ConductorKind.TAIL, rule=_R2, sigma=sigma, min_element=cf.scale * cf.nm.conductor
-    )
-
-
 def conductor(spec: MonoidSpec) -> ConductorResult:
     """Conductor of the described monoid, by the rule table above."""
     if isinstance(spec, UnitFractionPowers):
         return ConductorResult(ConductorKind.EQUALS_M, rule=_R1)
 
-    if isinstance(spec, Geometric):
-        r = spec.ratio
-        if r.denominator == 1:
-            return ConductorResult(ConductorKind.EQUALS_M, rule=_R1)  # the monoid is all of N0
-        if r < 1:
-            if r.numerator == 1:
-                return ConductorResult(ConductorKind.EQUALS_M, rule=_R1)  # same monoid as 1/d powers
-            return ConductorResult(
-                ConductorKind.UNKNOWN,
-                rule=_R5,
-                reason="supremum of closure-minus-monoid undetermined for contracting ratios "
-                "with nonunit numerator",
-            )
-        return ConductorResult(ConductorKind.EMPTY, rule=_R3)
-
-    if isinstance(spec, (FiniteGenerators, CantorShift)):
-        try:
-            cf = canonical_fg(spec)
-        except BudgetError as e:
-            return ConductorResult(
-                ConductorKind.UNKNOWN, rule=_R5, reason=f"canonical form out of reach: {e}"
-            )
-        assert cf is not None
-        return _fg_conductor(cf)
-
-    if isinstance(spec, IncreasingSequence):
-        if isinstance(spec.tail, AffineTail):
-            try:
-                cf = canonical_fg(spec)
-            except BudgetError as e:
-                return ConductorResult(
-                    ConductorKind.UNKNOWN, rule=_R5, reason=f"canonical form out of reach: {e}"
-                )
-            assert cf is not None
-            return _fg_conductor(cf)
-        return ConductorResult(ConductorKind.EMPTY, rule=_R3)
-
-    if isinstance(spec, PrimeReciprocalShift):
-        if spec.prime_bound is None:
-            return ConductorResult(ConductorKind.EMPTY, rule=_R4)
+    if isinstance(spec, Geometric) and spec.ratio < 1:
+        if spec.ratio.numerator == 1:
+            return ConductorResult(ConductorKind.EQUALS_M, rule=_R1)  # same monoid as 1/d powers
         return ConductorResult(
             ConductorKind.UNKNOWN,
             rule=_R5,
-            reason="finite prime truncation not covered; the monoid is finitely generated "
-            "but its canonical tables live at primorial scale",
+            reason="supremum of closure-minus-monoid undetermined for contracting ratios "
+            "with nonunit numerator",
         )
+
+    if isinstance(spec, PrimeReciprocalShift) and spec.prime_bound is None:
+        return ConductorResult(ConductorKind.EMPTY, rule=_R4)
 
     if isinstance(spec, DenseAtoms):
         return ConductorResult(
@@ -515,5 +463,24 @@ def conductor(spec: MonoidSpec) -> ConductorResult:
             rule=_R5,
             reason="dense non-increasing family: neither the tail nor the empty criterion applies",
         )
+
+    try:
+        cf = canonical_fg(spec)
+    except BudgetError as e:
+        return ConductorResult(
+            ConductorKind.UNKNOWN, rule=_R5, reason=f"canonical form out of reach: {e}"
+        )
+    if cf is not None:
+        if cf.nm.frobenius < 0:
+            return ConductorResult(ConductorKind.EQUALS_M, rule=_R1)
+        return ConductorResult(
+            ConductorKind.TAIL,
+            rule=_R2,
+            sigma=cf.scale * cf.nm.frobenius,
+            min_element=cf.scale * cf.nm.conductor,
+        )
+
+    if isinstance(spec, (Geometric, IncreasingSequence)):
+        return ConductorResult(ConductorKind.EMPTY, rule=_R3)
 
     raise TypeError(f"not a monoid description: {spec!r}")

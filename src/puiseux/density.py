@@ -24,7 +24,6 @@ from . import sequences
 from .families import (
     CantorShift,
     DenseAtoms,
-    FiniteGenerators,
     Geometric,
     IncreasingSequence,
     MonoidSpec,
@@ -32,6 +31,7 @@ from .families import (
     UnitFractionPowers,
     depth_for_complete,
     generator_count,
+    is_finitely_generated,
 )
 from .closures import fg_lattice_step
 from .errors import BudgetError
@@ -144,13 +144,9 @@ def _dense_atom_decreasing_sample(spec: DenseAtoms, scan: int = 2048) -> tuple[F
     return tuple(sample)
 
 
-def _isolation_sample(spec: MonoidSpec) -> IsolationWitness:
-    if isinstance(spec, Geometric):
-        bound = spec.ratio**4
-    elif isinstance(spec, IncreasingSequence) and spec.bounded and spec.limit is not None:
-        bound = (spec.term(6) + spec.limit) / 2
-    else:
-        bound = spec.term(6)  # type: ignore[union-attr]
+def _isolation_sample(spec: Geometric | IncreasingSequence) -> IsolationWitness:
+    # Increasing sequences that are not finitely generated are bounded.
+    bound = spec.ratio**4 if isinstance(spec, Geometric) else (spec.term(6) + spec.limit) / 2
     pairs = right_isolation(spec, bound)
     return IsolationWitness(tuple(pairs[:6]))
 
@@ -181,24 +177,17 @@ def classify_density(spec: MonoidSpec) -> DensityVerdict:
                 "so they enter every neighborhood of zero",
             ),
         )
-    if isinstance(spec, FiniteGenerators):
-        return DensityVerdict(
-            DensityClass.NOWHERE_DENSE, rule=_D2, witness=LatticeWitness(fg_lattice_step(spec))
-        )
-    if isinstance(spec, CantorShift):
+    if is_finitely_generated(spec):
+        cantor = isinstance(spec, CantorShift)
         return DensityVerdict(
             DensityClass.NOWHERE_DENSE,
-            rule=_D4,
+            rule=_D4 if cantor else _D2,
             witness=LatticeWitness(fg_lattice_step(spec)),
-            note=_CANTOR_NOTE,
+            note=_CANTOR_NOTE if cantor else None,
         )
     if isinstance(spec, (IncreasingSequence, Geometric)):
         return DensityVerdict(DensityClass.NOWHERE_DENSE, rule=_D3, witness=_isolation_sample(spec))
     if isinstance(spec, PrimeReciprocalShift):
-        if spec.prime_bound is not None:
-            return DensityVerdict(
-                DensityClass.NOWHERE_DENSE, rule=_D2, witness=LatticeWitness(fg_lattice_step(spec))
-            )
         return DensityVerdict(DensityClass.UNKNOWN, rule=_D5, note=_D5_NOTE)
     return DensityVerdict(DensityClass.UNKNOWN, rule=_D6)
 

@@ -8,14 +8,17 @@ gives canonical output order and tight pruning without heuristics.
 
 Atomicity verdicts are per family:
 
-* finite generator lists are atomic with atoms the minimal generators of
-  the scaled numerical monoid;
-* families streamed in increasing order (increasing sequences, geometric
-  ratios above 1, shifted Cantor endpoints) are atomic, and a generator is
-  an atom iff it is not a sum from the earlier generators, the only
-  candidates below it;
-* the prime-reciprocal family is atomic with every generator an atom: all
-  generators lie below 2, the least possible value of any two-part sum;
+* the prime-reciprocal family, bounded or not, is atomic with every
+  generator an atom: all generators lie below 2, the least possible value
+  of any two-part sum;
+* every other finitely generated family (finite generator lists, shifted
+  Cantor endpoints, integer geometric ratios, affine increasing tails) is
+  answered from its canonical form: atomic, with atoms the minimal
+  generators of the scaled numerical monoid;
+* the remaining increasing streams (geometric ratios above 1 with
+  nonunit denominator, harmonic and prime-harmonic tails) are atomic, and a
+  generator is an atom iff it is not a sum from the earlier generators, the
+  only candidates below it;
 * unit-fraction powers (and geometric ratios 1/b) have no atoms at all:
   every generator splits as base copies of the next one;
 * the dense-atom family is atomic because distinct generators carry powers
@@ -34,18 +37,14 @@ from typing import Sequence
 
 from .errors import BudgetError
 from .families import (
-    CantorShift,
     DenseAtoms,
-    FiniteGenerators,
     Geometric,
-    IncreasingSequence,
     MonoidSpec,
     PrimeReciprocalShift,
     UnitFractionPowers,
     DEFAULT_NODE_BUDGET,
     _bounded_member,
     canonical_fg,
-    cantor_generators,
     depth_for_complete,
     generator_count,
     generator_stream,
@@ -172,116 +171,89 @@ def atoms(
     if limit < 1:
         raise ValueError("limit must be >= 1")
 
-    if isinstance(spec, FiniteGenerators):
-        cf = canonical_fg(spec)
-        assert cf is not None
-        full = cf.atoms()
-        return AtomicityVerdict(
-            AtomicityKind.ATOMIC, full[:limit], truncated=len(full) > limit, rule=_RULE_FINITE
-        )
-
     if isinstance(spec, UnitFractionPowers):
         return AtomicityVerdict(AtomicityKind.ANTIMATTER, (), truncated=False, rule=_RULE_ANTIMATTER)
 
-    if isinstance(spec, Geometric):
-        if spec.ratio < 1:
-            if spec.ratio.numerator == 1:
-                return AtomicityVerdict(
-                    AtomicityKind.ANTIMATTER, (), truncated=False, rule=_RULE_ANTIMATTER
-                )
-            return AtomicityVerdict(AtomicityKind.UNKNOWN, (), truncated=False, rule=_RULE_UNKNOWN)
-        if spec.ratio.denominator == 1:
-            # Integer ratio: 1 generates everything, so the monoid is all of N0.
-            return AtomicityVerdict(
-                AtomicityKind.ATOMIC, (Fraction(1),), truncated=False, rule=_RULE_FINITE
-            )
-        shown = _increasing_filter(generator_stream(spec, limit), budget)
-        return AtomicityVerdict(AtomicityKind.ATOMIC, tuple(shown), truncated=True, rule=_RULE_INCREASING)
-
-    if isinstance(spec, IncreasingSequence):
-        cf = canonical_fg(spec)  # affine tails reduce to a finite generator list
-        if cf is not None:
-            full = cf.atoms()
-            return AtomicityVerdict(
-                AtomicityKind.ATOMIC, full[:limit], truncated=len(full) > limit, rule=_RULE_FINITE
-            )
-        shown = _increasing_filter(generator_stream(spec, limit), budget)
-        return AtomicityVerdict(AtomicityKind.ATOMIC, tuple(shown), truncated=True, rule=_RULE_INCREASING)
-
-    if isinstance(spec, CantorShift):
-        total = generator_count(spec)
-        stream = generator_stream(spec, min(limit, total))
-        shown = _increasing_filter(stream, budget)
-        return AtomicityVerdict(
-            AtomicityKind.ATOMIC, tuple(shown), truncated=limit < total, rule=_RULE_INCREASING
-        )
+    if isinstance(spec, Geometric) and spec.ratio < 1:
+        if spec.ratio.numerator == 1:
+            return AtomicityVerdict(AtomicityKind.ANTIMATTER, (), truncated=False, rule=_RULE_ANTIMATTER)
+        return AtomicityVerdict(AtomicityKind.UNKNOWN, (), truncated=False, rule=_RULE_UNKNOWN)
 
     if isinstance(spec, PrimeReciprocalShift):
         total = generator_count(spec)
         take = limit if total is None else min(limit, total)
-        shown = _increasing_filter(generator_stream(spec, take), budget)
         truncated = total is None or take < total
-        return AtomicityVerdict(AtomicityKind.ATOMIC, tuple(shown), truncated=truncated, rule=_RULE_PRS)
+        return AtomicityVerdict(
+            AtomicityKind.ATOMIC, generator_stream(spec, take), truncated=truncated, rule=_RULE_PRS
+        )
 
     if isinstance(spec, DenseAtoms):
         shown = generator_stream(spec, limit)
         return AtomicityVerdict(AtomicityKind.ATOMIC, shown, truncated=True, rule=_RULE_DENSE)
 
-    raise TypeError(f"not a monoid description: {spec!r}")
+    cf = canonical_fg(spec)
+    if cf is not None:
+        full = cf.atoms()
+        return AtomicityVerdict(
+            AtomicityKind.ATOMIC, full[:limit], truncated=len(full) > limit, rule=_RULE_FINITE
+        )
+
+    # The rest are ascending streams: geometric ratios above 1, non-affine tails.
+    shown = _increasing_filter(generator_stream(spec, limit), budget)
+    return AtomicityVerdict(AtomicityKind.ATOMIC, tuple(shown), truncated=True, rule=_RULE_INCREASING)
 
 
 def _atoms_below(
     spec: MonoidSpec, x: Fraction, budget: int, depth_cap: int = 64
 ) -> tuple[list[Fraction], bool]:
     """Atoms of the monoid that are <= x, with a completeness flag."""
-    if isinstance(spec, FiniteGenerators):
-        cf = canonical_fg(spec)
-        assert cf is not None
+    cf = canonical_fg(spec)
+    if cf is not None:
         return [a for a in cf.atoms() if a <= x], True
-    if isinstance(spec, CantorShift):
-        gens = [g for g in cantor_generators(spec.depth) if g <= x]
-        return _increasing_filter(gens, budget), True
-    if isinstance(spec, (Geometric, IncreasingSequence)):
-        depth = depth_for_complete(spec, x)
-        if depth is None:
-            gens = [g for g in generator_stream(spec, depth_cap) if g <= x]
-            return _increasing_filter(gens, budget), False
-        gens = [g for g in generator_stream(spec, depth) if g <= x]
-        return _increasing_filter(gens, budget), True
-    raise TypeError(f"no atom enumeration below a bound for {type(spec).__name__}")
+    depth = depth_for_complete(spec, x)
+    gens = [g for g in generator_stream(spec, depth_cap if depth is None else depth) if g <= x]
+    return _increasing_filter(gens, budget), depth is not None
 
 
 def _enumerate(
     atoms_desc: list[Fraction], x: Fraction, node_budget: int
 ) -> tuple[list[Factorization], bool]:
-    """Complete descending-atom enumeration of multisets summing to x."""
-    found: list[Factorization] = []
-    stack: list[tuple[Fraction, int]] = []
-    nodes = 0
-    exhausted = True
+    """Complete descending-atom enumeration of multisets summing to x.
 
-    def walk(i: int, rem: Fraction) -> None:
-        nonlocal nodes, exhausted
+    Depth first, low multiplicities first, on an explicit stack so that
+    long atom lists cannot exhaust the interpreter's recursion limit.
+    """
+    found: list[Factorization] = []
+    parts: list[tuple[Fraction, int]] = []
+    frames: list[list] = []  # [i, rem, c]: atoms_desc[i] taken c times leaves rem
+    nodes = 0
+    i, rem = 0, x
+    while True:
         nodes += 1
         if nodes > node_budget:
-            exhausted = False
-            return
+            return sorted(found, key=lambda f: f.parts), False
         if rem == 0:
-            found.append(Factorization(tuple(stack)))
-            return
-        if i == len(atoms_desc):
-            return
-        a = atoms_desc[i]
-        walk(i + 1, rem)  # low multiplicities first; results are sorted afterwards
-        for c in range(1, int(rem / a) + 1):
-            if not exhausted:
-                return
-            stack.append((a, c))
-            walk(i + 1, rem - c * a)
-            stack.pop()
-
-    walk(0, x)
-    return sorted(found, key=lambda f: f.parts), exhausted
+            found.append(Factorization(tuple(parts)))
+        elif i < len(atoms_desc):
+            frames.append([i, rem, 0])
+            i += 1  # multiplicity 0 first
+            continue
+        # move to the next multiplicity of the innermost open frame
+        while frames:
+            frame = frames[-1]
+            j, rest, c = frame
+            a = atoms_desc[j]
+            if c:
+                parts.pop()
+            rest -= a
+            if rest >= 0:
+                frame[1:] = rest, c + 1
+                parts.append((a, c + 1))
+                i, rem = j + 1, rest
+                break
+            frames.pop()
+        else:
+            return sorted(found, key=lambda f: f.parts), True
 
 
 def factorizations(

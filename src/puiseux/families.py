@@ -535,7 +535,9 @@ def _bounded_member(
 
     Returns (True, certificate), (False, None), or (None, None) when the node
     budget ran out.  Denominator pruning: a partial remainder is only viable
-    if its denominator divides the lcm of the remaining generators'.
+    if its denominator divides the lcm of the remaining generators'.  The
+    depth-first walk keeps its own stack, so long generator lists cannot
+    exhaust the interpreter's recursion limit.
     """
     gens = sorted(set(g for g in generators if 0 < g <= x), reverse=True)
     if x == 0:
@@ -546,38 +548,37 @@ def _bounded_member(
     for i in range(len(gens) - 1, -1, -1):
         suffix_lcm[i] = math.lcm(suffix_lcm[i + 1], gens[i].denominator)
     failed: set[tuple[int, Fraction]] = set()
+    # [i, rest, c]: gens[i] taken c times leaves rest; largest c first
+    frames: list[list] = []
     nodes = 0
-
-    def walk(i: int, rem: Fraction) -> list[tuple[Fraction, int]] | None:
-        nonlocal nodes
+    i, rem = 0, x
+    while True:
         nodes += 1
         if nodes > node_budget:
-            raise _NodeBudget
+            return None, None
         if rem == 0:
-            return []
-        if i == len(gens):
-            return None
-        key = (i, rem)
-        if key in failed:
-            return None
-        if suffix_lcm[i] % rem.denominator != 0:
-            failed.add(key)
-            return None
-        g = gens[i]
-        for c in range(int(rem / g), -1, -1):
-            tail = walk(i + 1, rem - c * g)
-            if tail is not None:
-                return ([(g, c)] if c else []) + tail
-        failed.add(key)
-        return None
-
-    try:
-        parts = walk(0, x)
-    except _NodeBudget:
-        return None, None
-    if parts is None:
-        return False, None
-    return True, tuple(parts)
+            return True, tuple((gens[j], c) for j, _, c in frames if c)
+        if i < len(gens) and (i, rem) not in failed:
+            if suffix_lcm[i] % rem.denominator == 0:
+                c = int(rem / gens[i])
+                rest = rem - c * gens[i]
+                frames.append([i, rest, c])
+                i, rem = i + 1, rest
+                continue
+            failed.add((i, rem))
+        # the node failed: retry the innermost frame with one copy fewer
+        while frames:
+            frame = frames[-1]
+            j, rest, c = frame
+            if c > 0:
+                rest += gens[j]
+                frame[1:] = rest, c - 1
+                i, rem = j + 1, rest
+                break
+            failed.add((j, rest))  # with no copy taken, rest is the frame's own remainder
+            frames.pop()
+        else:
+            return False, None
 
 
 def _prime_fraction_sums(
@@ -666,22 +667,16 @@ def spec_member(
 ) -> MembershipResult:
     """Decide whether x belongs to the described monoid.
 
-    Exact for finite generator lists, for families whose generators below x
-    form a computable finite set, and for families with decidable structure
-    (unit-fraction powers, prime-reciprocal shifts).  Families with
-    infinitely many generators below x return IN with a certificate when one
-    is found within budget and UNKNOWN otherwise, never a guess.
+    Exact for families with decidable structure (unit-fraction powers,
+    prime-reciprocal shifts), for every finitely generated family, decided
+    by its canonical form (UNKNOWN when that form is out of reach), and for
+    ascending streams whose generators below x form a finite set.  Families
+    with infinitely many generators below x return IN with a certificate
+    when one is found within budget and UNKNOWN otherwise, never a guess.
     """
     q = require_nonnegative(x, what="element")
     if q == 0:
         return _IN0
-
-    if isinstance(spec, FiniteGenerators):
-        cf = canonicalize(spec.generators)
-        if not cf.member(q):
-            return MembershipResult(Membership.OUT)
-        found, cert = _bounded_member(spec.generators, q, budget)
-        return MembershipResult(Membership.IN, certificate=cert if found else None)
 
     if isinstance(spec, UnitFractionPowers):
         if _localized_member(q, set(sequences.factorize(spec.base))):
@@ -728,17 +723,33 @@ def spec_member(
             cert.append((1 + Fraction(1, p), primes.count(p)))
         return MembershipResult(Membership.IN, certificate=tuple(cert))
 
-    if isinstance(spec, CantorShift):
-        try:
-            cf = canonical_fg(spec)
-        except BudgetError:
-            return MembershipResult(
-                Membership.UNKNOWN, reason={"kind": "canonicalization_budget", "depth": spec.depth}
-            )
-        assert cf is not None
+    if isinstance(spec, DenseAtoms):
+        for p, e in sequences.factorize(q.denominator).items():
+            if e > sequences.dense_atom_exponent_cap(p):
+                return MembershipResult(Membership.OUT)  # outside the difference group
+        entries = sequences.dense_atom_entries(max(spec.count, depth), spec.seed)
+        gens = [e.atom for e in entries[:depth] if e.atom <= q]
+        found, cert = _bounded_member(gens, q, budget)
+        if found:
+            return MembershipResult(Membership.IN, certificate=cert)
+        return MembershipResult(
+            Membership.UNKNOWN,
+            reason={"kind": "generator_truncation", "depth": depth, "node_budget": budget},
+        )
+
+    try:
+        cf = canonical_fg(spec)
+    except BudgetError as e:
+        return MembershipResult(
+            Membership.UNKNOWN, reason={"kind": "canonicalization_budget", **e.detail}
+        )
+    if cf is not None:
+        # The canonical form decides; the search over the generators up to x
+        # only supplies the certificate.
         if not cf.member(q):
             return MembershipResult(Membership.OUT)
-        found, cert = _bounded_member(cantor_generators(spec.depth), q, budget)
+        gens = generator_stream(spec, depth_for_complete(spec, q))
+        found, cert = _bounded_member(gens, q, budget)
         return MembershipResult(Membership.IN, certificate=cert if found else None)
 
     if isinstance(spec, (IncreasingSequence, Geometric)):
@@ -764,42 +775,26 @@ def spec_member(
             reason={"kind": "generator_truncation", "depth": depth, "node_budget": budget},
         )
 
-    if isinstance(spec, DenseAtoms):
-        for p, e in sequences.factorize(q.denominator).items():
-            if e > sequences.dense_atom_exponent_cap(p):
-                return MembershipResult(Membership.OUT)  # outside the difference group
-        entries = sequences.dense_atom_entries(max(spec.count, depth), spec.seed)
-        gens = [e.atom for e in entries[:depth] if e.atom <= q]
-        found, cert = _bounded_member(gens, q, budget)
-        if found:
-            return MembershipResult(Membership.IN, certificate=cert)
-        return MembershipResult(
-            Membership.UNKNOWN,
-            reason={"kind": "generator_truncation", "depth": depth, "node_budget": budget},
-        )
-
     raise TypeError(f"not a monoid description: {spec!r}")
 
 
 def canonical_fg(spec: MonoidSpec) -> CanonicalFG | None:
     """Canonical scale * numerical-monoid form for finitely generated specs.
 
-    None for families that are not finitely generated.  May raise
-    BudgetError when the canonical form is finite but out of reach (for
-    example prime-reciprocal truncations, whose denominator lcm is a
-    primorial).
+    This is the one route by which every question about a finitely
+    generated spec is answered.  None for families that are not finitely
+    generated.  May raise BudgetError when the canonical form is finite but
+    out of reach (for example prime-reciprocal truncations, whose
+    denominator lcm is a primorial).
     """
-    if isinstance(spec, FiniteGenerators):
-        return canonicalize(spec.generators)
-    if isinstance(spec, CantorShift):
-        return canonicalize(cantor_generators(spec.depth))
-    if isinstance(spec, Geometric) and spec.ratio.denominator == 1:
-        return canonicalize([Fraction(1)])  # 1 is a generator, so the monoid is all of N0
-    if isinstance(spec, PrimeReciprocalShift) and spec.prime_bound is not None:
-        return canonicalize(generator_stream(spec, generator_count(spec)))
-    if isinstance(spec, IncreasingSequence) and isinstance(spec.tail, AffineTail):
+    if not is_finitely_generated(spec):
+        return None
+    total = generator_count(spec)
+    if total is not None:
+        return canonicalize(generator_stream(spec, total))
+    if isinstance(spec, IncreasingSequence):
         return canonicalize(affine_finite_generators(spec))
-    return None
+    return canonicalize(generator_stream(spec, 1))  # integer ratio: 1 generates all of N0
 
 
 def affine_finite_generators(spec: IncreasingSequence, cap: int = 4096) -> tuple[Fraction, ...]:

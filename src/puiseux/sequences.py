@@ -26,7 +26,6 @@ __all__ = [
     "iter_primes",
     "low_discrepancy",
     "nth_prime",
-    "prime_index",
     "primes_upto",
 ]
 
@@ -87,16 +86,6 @@ def is_prime(n: int) -> bool:
             return True
         if n % p == 0:
             return n == p
-
-
-def prime_index(p: int) -> int:
-    """1-based position of a prime in the prime sequence."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    k = 1
-    while nth_prime(k) != p:
-        k += 1
-    return k
 
 
 def factorize(n: int) -> dict[int, int]:

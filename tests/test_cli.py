@@ -58,6 +58,9 @@ def test_member_unknown_exit_2(capsys, spec_file):
     code, payload = run_json(capsys, ["member", path, "1/3", "--depth", "6", "--budget", "100"])
     assert code == 2 and payload["status"] == "unknown"
     assert "kind" in payload["reason"]
+    path = spec_file(FiniteGenerators(["1/10007", "1/10009"]))  # lcm past the canonical budget
+    code, payload = run_json(capsys, ["member", path, "1"])
+    assert code == 2 and payload["reason"]["kind"] == "canonicalization_budget"
 
 
 def test_factorize_and_lengths(capsys, spec_file):

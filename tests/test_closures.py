@@ -30,7 +30,7 @@ from puiseux.families import (
     canonicalize,
     spec_member,
 )
-from puiseux.oracle import enumerate_monoid
+from puiseux.oracle import enumerate_monoid, lattice_enumeration
 
 
 def test_difference_group_examples():
@@ -194,6 +194,23 @@ def test_fg_lattice_step_gap_is_exact():
         assert not clo.member(step / 2)
 
 
+def _largest_gap_with_unit_generator(spec):
+    """Largest lattice point outside the monoid, from complete enumerations.
+
+    1 is a generator, so once one unit of consecutive lattice points lies
+    in the monoid, every later lattice point does too.
+    """
+    bound = F(4)
+    while True:
+        lat = lattice_enumeration(spec, bound, 64)
+        assert lat.complete
+        top = int(bound * lat.denominator)
+        holes = [i for i in range(top + 1) if not lat.mask >> i & 1]
+        if top - holes[-1] >= lat.denominator:
+            return F(holes[-1], lat.denominator)
+        bound *= 2
+
+
 def test_conductor_rules():
     r = conductor(FiniteGenerators([6, 9, 20]))
     assert r.kind == ConductorKind.TAIL and r.sigma == 43 and r.min_element == 44
@@ -205,6 +222,11 @@ def test_conductor_rules():
     assert conductor(Geometric(F(2, 3))).kind == ConductorKind.UNKNOWN
     assert conductor(PrimeReciprocalShift(None)).kind == ConductorKind.EMPTY
     assert conductor(PrimeReciprocalShift(100)).kind == ConductorKind.UNKNOWN
+    for p in (2, 3, 5, 7):
+        r = conductor(PrimeReciprocalShift(p))
+        assert r.kind == ConductorKind.TAIL and r.sigma == _largest_gap_with_unit_generator(
+            PrimeReciprocalShift(p)
+        ), p
     assert conductor(DenseAtoms(10)).kind == ConductorKind.UNKNOWN
     inc = IncreasingSequence(HarmonicTail(2, F(1, 2)), prefix=[F(3, 2), F(5, 3), F(7, 4)])
     assert conductor(inc).kind == ConductorKind.EMPTY

@@ -25,6 +25,7 @@ from puiseux.families import (
     IncreasingSequence,
     PrimeReciprocalShift,
     UnitFractionPowers,
+    canonical_fg,
 )
 
 
@@ -51,8 +52,13 @@ def test_classify_nowhere_dense_families():
     assert v.klass == DensityClass.NOWHERE_DENSE and "D3" in v.rule
     assert isinstance(v.witness, IsolationWitness)
     assert all(r > 0 for _, r in v.witness.pairs)
-    v = classify_density(IncreasingSequence(AffineTail(2, 3)))
-    assert v.klass == DensityClass.NOWHERE_DENSE
+    affine = IncreasingSequence(AffineTail(2, 3))
+    v = classify_density(affine)
+    assert v.klass == DensityClass.NOWHERE_DENSE and "D2" in v.rule
+    assert v.witness == LatticeWitness(canonical_fg(affine).scale)
+    v = classify_density(Geometric(41))
+    assert v.klass == DensityClass.NOWHERE_DENSE and "D2" in v.rule
+    assert v.witness == LatticeWitness(F(1))
     v = classify_density(Geometric(F(5, 2)))
     assert v.klass == DensityClass.NOWHERE_DENSE and "D3" in v.rule
     v = classify_density(PrimeReciprocalShift(60))

@@ -63,6 +63,9 @@ def test_atoms_cantor():
     v = atoms(CantorShift(1), limit=16)
     assert v.atoms_shown == (F(1), F(4, 3), F(5, 3))  # 2 = 1 + 1 decomposes
     assert not v.truncated
+    v = atoms(CantorShift(6), limit=127)
+    assert len(v.atoms_shown) == 127 and not v.truncated  # 2**7 generators, 2 is not an atom
+    assert atoms(CantorShift(6), limit=126).truncated
 
 
 def test_atoms_dense_family():
@@ -73,13 +76,14 @@ def test_atoms_dense_family():
 def test_increasing_filter_matches_brute_force():
     for spec, bound in [
         (CantorShift(2), 3),
+        (CantorShift(6), 2),
         (IncreasingSequence(AffineTail(F(1, 2), F(1, 2))), 4),
         (PrimeReciprocalShift(30), 2),
     ]:
-        enum = enumerate_monoid(spec, bound, 64)
+        enum = enumerate_monoid(spec, bound, 128)
         assert enum.complete
         brute = set(naive_atoms(enum))
-        fast = {a for a in atoms(spec, limit=64).atoms_shown if a <= bound}
+        fast = {a for a in atoms(spec, limit=128).atoms_shown if a <= bound}
         assert fast == brute, spec
 
 
@@ -149,6 +153,21 @@ def test_oracle_equivalence_small():
             fast = {f.parts for f in factorizations(spec, x).items}
             slow = set(naive_factorization_parts(atom_list, x))
             assert fast == slow, (gens, x)
+
+
+def test_cantor_factorizations_match_oracle():
+    spec = CantorShift(6)
+    fs = factorizations(spec, 3)
+    assert fs.complete
+    atom_list = atoms(spec, limit=128).atoms_shown
+    assert {f.parts for f in fs.items} == set(naive_factorization_parts(atom_list, 3))
+
+
+def test_factorizations_long_atom_list_does_not_recurse():
+    # 1000 atoms (1000..1999): the enumeration walks one level per atom
+    fs = factorizations(FiniteGenerators(range(1000, 2200)), 2999)
+    assert fs.complete or fs.note == "node budget exhausted"
+    assert all(f.value == 2999 for f in fs.items)
 
 
 def test_prime_reciprocal_factorizations_complete():

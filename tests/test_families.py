@@ -222,6 +222,21 @@ def test_canonical_fg_budget_for_primorial_scale():
         canonical_fg(PrimeReciprocalShift(97))
 
 
+def test_member_fg_canonical_form_out_of_budget_is_unknown():
+    # denominator lcm 10007 * 10009 exceeds the canonicalization limit
+    res = spec_member(FiniteGenerators([F(1, 10007), F(1, 10009)]), 1)
+    assert res.status == Membership.UNKNOWN
+    assert res.reason["kind"] == "canonicalization_budget"
+
+
+def test_member_long_generator_list_does_not_recurse():
+    # the certificate search walks one level per generator: 1200 levels
+    res = spec_member(FiniteGenerators(range(1000, 2200)), 2999)
+    assert res.status == Membership.IN
+    if res.certificate is not None:
+        assert sum((a * m for a, m in res.certificate), F(0)) == 2999
+
+
 # --- JSON wire format ----------------------------------------------------
 
 
