@@ -8,12 +8,15 @@ same facts and is the stable schema.  Rationals are always serialized as
 Exit codes keep shell pipelines honest: 0 for definite results, 1 for
 input errors, 2 for undecided verdicts (unknown classifications,
 inconclusive probes, budget-limited answers) so scripts can tell "no"
-from "could not decide".
+from "could not decide", and 3 for an internal error (any other
+exception, reported as one ``internal error: <Type>: <message>`` line on
+stderr), so a failure of the program never passes for a bad input.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -46,6 +49,7 @@ __all__ = ["main"]
 OK = 0
 ERR_INPUT = 1
 UNDECIDED = 2
+ERR_INTERNAL = 3
 
 
 def _jsonify(value: Any) -> Any:
@@ -249,19 +253,22 @@ def _cmd_construct(args) -> tuple[dict, int]:
     return {}, OK
 
 
+@functools.cache  # one parser per process, built at first use
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="puiseux",
         description="Exact computations on additive monoids of nonnegative rationals.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    default_budget = int(os.environ.get("PUISEUX_BUDGET", DEFAULT_NODE_BUDGET))
 
     def add_common(p, with_budget=True):
         p.add_argument("spec", help="path to a spec JSON file, or - for stdin")
         p.add_argument("--output", choices=["text", "json"], default="text")
         if with_budget:
-            p.add_argument("--budget", type=int, default=default_budget, help="search node budget")
+            # default None: main reads PUISEUX_BUDGET on every call
+            p.add_argument(
+                "--budget", type=int, help=f"search node budget (default: $PUISEUX_BUDGET or {DEFAULT_NODE_BUDGET})"
+            )
 
     p = sub.add_parser("classify", help="density classification with rule citation")
     add_common(p, with_budget=False)
@@ -345,21 +352,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
+        if getattr(args, "budget", 0) is None:
+            args.budget = int(os.environ.get("PUISEUX_BUDGET", DEFAULT_NODE_BUDGET))
         payload, code = args.func(args)
+        if payload:
+            _emit(payload, getattr(args, "output", "text"))
     except BudgetError as e:
         print(f"undecided (budget): {e}", file=sys.stderr)
         return UNDECIDED
-    except (ValueError, ZeroDivisionError) as e:
+    except (ValueError, ZeroDivisionError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return ERR_INPUT
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return ERR_INPUT
-    if payload:
-        _emit(payload, getattr(args, "output", "text"))
+    except Exception as e:  # anything else is the program's fault, not the input's
+        message = " ".join(str(e).split())
+        print(f"internal error: {type(e).__name__}: {message}", file=sys.stderr)
+        return ERR_INTERNAL
     return code
 
 

@@ -3,9 +3,10 @@
 The workhorse structure is the residue table: for each residue class
 modulo the smallest generator, the least monoid element in that class.
 The table decides membership in O(1), yields the largest gap (maximum
-table entry minus the modulus) and the conductor tail, and is computed by
-round-robin relaxation, shortest-path style, so no search bound ever has
-to be guessed.
+table entry minus the modulus) and the conductor tail.  It is computed by
+the round-robin algorithm of Böcker and Lipták, one walk around each
+residue cycle per generator, in O(generators * modulus) steps, so no
+search bound ever has to be guessed.
 
 ``reachable_bitmask`` is the deliberately separate ground truth: plain
 closure-by-shifting reachability with no residue reasoning, used by tests
@@ -61,26 +62,43 @@ def _bit_positions(mask: int, limit: int) -> list[int]:
 
 
 def _relax_residues(generators: Sequence[int], modulus: int) -> list[int]:
-    # Least monoid element in each class mod `modulus`, by repeated
-    # round-robin relaxation; stabilizes in at most `modulus` passes.
-    table: list[int | None] = [None] * modulus
+    # Least element of <modulus, generators> in each class mod `modulus`
+    # (the residue table of the monoid when `modulus` belongs to it), by
+    # the round-robin of Boecker & Liptak (Algorithmica 2007): after
+    # generator g, table[r] is least in its class for <modulus, gens so far>.
+    # Adding g permutes each class p mod gcd(g, modulus) in one cycle;
+    # walking it once from its least entry settles the whole class, so the
+    # cost is O(len(generators) * modulus) with no repeat passes.
+    # A least entry uses at most modulus - 1 generators (a longer sum has
+    # a nonempty part divisible by modulus, which could be dropped), so
+    # `unreached` is larger than any entry.
+    unreached = modulus * max(generators) + 1
+    table = [unreached] * modulus
     table[0] = 0
-    changed = True
-    while changed:
-        changed = False
-        for r in range(modulus):
-            base = table[r]
-            if base is None:
+    for g in generators:
+        step = g % modulus
+        if step == 0:
+            continue
+        d = math.gcd(step, modulus)
+        cycle = modulus // d
+        for p in range(d):
+            cls = table[p::d]
+            best = min(cls)
+            if best == unreached:
                 continue
-            for g in generators:
-                v = base + g
-                rr = v % modulus
-                cur = table[rr]
-                if cur is None or v < cur:
-                    table[rr] = v
-                    changed = True
-    assert all(entry is not None for entry in table)
-    return table  # type: ignore[return-value]
+            r = p + d * cls.index(best)
+            for _ in range(cycle - 1):
+                r += step
+                if r >= modulus:
+                    r -= modulus
+                best += g
+                cur = table[r]
+                if cur < best:
+                    best = cur
+                else:
+                    table[r] = best
+    assert unreached not in table
+    return table
 
 
 class NumericalMonoid:

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from puiseux.cli import main
-from puiseux.families import dumps_spec, loads_spec, FiniteGenerators, UnitFractionPowers
+from puiseux.families import DEFAULT_NODE_BUDGET, dumps_spec, loads_spec, FiniteGenerators, UnitFractionPowers
 
 
 @pytest.fixture
@@ -160,3 +160,28 @@ def test_budget_env_var(capsys, spec_file, monkeypatch):
     path = spec_file(loads_spec('{"variant": "geometric", "ratio": "2/3"}'))
     code, payload = run_json(capsys, ["member", path, "1/3", "--depth", "6"])
     assert code == 2  # tiny budget from the environment forces unknown
+
+
+def test_budget_env_var_read_on_every_call(capsys, spec_file, monkeypatch):
+    # the parser is built once per process; the budget default must not be frozen in it
+    path = spec_file(loads_spec('{"variant": "geometric", "ratio": "2/3"}'))
+    monkeypatch.delenv("PUISEUX_BUDGET", raising=False)
+    main(["classify", path])
+    capsys.readouterr()
+    monkeypatch.setenv("PUISEUX_BUDGET", "100")
+    code, payload = run_json(capsys, ["member", path, "1/3", "--depth", "6"])
+    assert code == 2 and payload["reason"]["node_budget"] == 100
+    monkeypatch.delenv("PUISEUX_BUDGET")
+    code, payload = run_json(capsys, ["member", path, "1/3", "--depth", "6"])
+    assert payload["reason"]["node_budget"] == DEFAULT_NODE_BUDGET
+
+
+def test_internal_error_exit_3(capsys, spec_file, monkeypatch):
+    def broken(spec):
+        raise RuntimeError("table went\nwrong")
+
+    monkeypatch.setattr("puiseux.cli.classify_density", broken)
+    assert main(["classify", spec_file(FiniteGenerators([2, 3]))]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: RuntimeError: table went wrong\n"

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -232,6 +233,14 @@ def test_conductor_rules():
     assert conductor(inc).kind == ConductorKind.EMPTY
     r = conductor(IncreasingSequence(AffineTail(2, 3)))
     assert r.kind == ConductorKind.TAIL and r.sigma == 12 and r.min_element == 13
+
+
+def test_conductor_of_prime_reciprocal_shift_17_is_fast():
+    # its canonical form has multiplicity 510510 and 8 minimal generators
+    start = time.perf_counter()
+    r = conductor(PrimeReciprocalShift(17))
+    assert time.perf_counter() - start < 5
+    assert r.kind == ConductorKind.TAIL
 
 
 def test_conductor_tail_soundness_and_sharpness():

@@ -1,7 +1,10 @@
 import math
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from puiseux.numerical import NumericalMonoid, reachable_bitmask
 
@@ -131,3 +134,48 @@ def test_minimality_property():
 def test_equality_and_hash():
     assert NumericalMonoid([2, 3, 4]) == NumericalMonoid([2, 3])
     assert hash(NumericalMonoid([2, 3, 4])) == hash(NumericalMonoid([3, 2]))
+
+
+def _assert_least_in_each_class(table, modulus, mask, dp):
+    # table[r] is least in its class iff it is an element and table[r] - modulus
+    # is not (every element of the class lies modulus-steps above the least one)
+    assert len(table) == modulus and table[0] == 0
+    for r, entry in enumerate(table):
+        assert entry % modulus == r
+        assert (mask >> entry) & 1 and dp[entry]
+        below = entry - modulus
+        assert below < 0 or not ((mask >> below) & 1 or dp[below])
+
+
+@st.composite
+def monoid_and_modulus(draw):
+    gens = draw(st.lists(st.integers(2, 200), min_size=1, max_size=6, unique=True))
+    extra = draw(st.integers(2, 200).filter(lambda g: math.gcd(*gens, g) == 1))
+    nm = NumericalMonoid(gens + [extra])
+    m = nm.multiplicity
+    elements = [x for x in range(m + 1, 4 * m + nm.conductor) if nm.contains(x)]
+    return nm, draw(st.sampled_from(elements))
+
+
+@settings(max_examples=200, deadline=None)
+@given(monoid_and_modulus())
+def test_residue_tables_against_reachability_and_dp(case):
+    nm, modulus = case
+    gens = nm.minimal_generators
+    table = nm.apery_set(modulus)
+    bound = max(max(table), max(nm.apery))
+    mask = reachable_bitmask(gens, bound)
+    dp = simple_dp_membership(gens, bound)
+    _assert_least_in_each_class(nm.apery, nm.multiplicity, mask, dp)
+    _assert_least_in_each_class(table, modulus, mask, dp)
+
+
+@pytest.mark.parametrize(
+    "gens, seconds",
+    [([10007, 10009, 20011], 0.5), ([100003, 150001, 170003], 2.0)],
+)
+def test_large_multiplicity_table_is_fast(gens, seconds):
+    start = time.perf_counter()
+    nm = NumericalMonoid(gens)
+    assert time.perf_counter() - start < seconds
+    assert len(nm.apery) == gens[0] and nm.apery[gens[1] % gens[0]] == gens[1]
