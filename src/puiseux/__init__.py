@@ -76,8 +76,6 @@ from .numerical import NumericalMonoid, reachable_bitmask
 from .rationals import (
     RatSetSummary,
     format_rational,
-    make_rational,
-    num_den,
     parse_rational,
     summarize,
 )

@@ -337,18 +337,23 @@ class CanonicalFG:
         return tuple(self.scale * a for a in self.nm.minimal_generators)
 
 
-def canonicalize(generators: Iterable[RationalLike]) -> CanonicalFG:
-    """Normalize a finite generator list as scale * numerical monoid."""
-    gens = sorted(set(_positive_tuple(generators, what="generator")))
-    if not gens:
-        raise ValueError("at least one generator is required")
-    den_lcm = math.lcm(*(g.denominator for g in gens))
+def _denominator_lcm(values: Iterable[Fraction]) -> int:
+    den_lcm = math.lcm(*(v.denominator for v in values))
     if den_lcm > _CANONICALIZE_LCM_LIMIT:
         raise BudgetError(
             "denominator lcm too large to canonicalize",
             den_lcm=den_lcm,
             limit=_CANONICALIZE_LCM_LIMIT,
         )
+    return den_lcm
+
+
+def canonicalize(generators: Iterable[RationalLike]) -> CanonicalFG:
+    """Normalize a finite generator list as scale * numerical monoid."""
+    gens = sorted(set(_positive_tuple(generators, what="generator")))
+    if not gens:
+        raise ValueError("at least one generator is required")
+    den_lcm = _denominator_lcm(gens)
     scaled = [int(g * den_lcm) for g in gens]
     num_gcd = math.gcd(*scaled)
     nm = NumericalMonoid(h // num_gcd for h in scaled)
@@ -668,11 +673,13 @@ def spec_member(
     """Decide whether x belongs to the described monoid.
 
     Exact for families with decidable structure (unit-fraction powers,
-    prime-reciprocal shifts), for every finitely generated family, decided
-    by its canonical form (UNKNOWN when that form is out of reach), and for
-    ascending streams whose generators below x form a finite set.  Families
-    with infinitely many generators below x return IN with a certificate
-    when one is found within budget and UNKNOWN otherwise, never a guess.
+    prime-reciprocal shifts), for every finitely generated family, and for
+    ascending streams whose generators below x form a finite set.  A
+    finitely generated family is decided and certified by the residue table
+    of its canonical form, with no search, so ``budget`` does not apply
+    (UNKNOWN when that form is out of reach).  Families with infinitely
+    many generators below x return IN with a certificate when one is found
+    within budget and UNKNOWN otherwise, never a guess.
     """
     q = require_nonnegative(x, what="element")
     if q == 0:
@@ -744,13 +751,13 @@ def spec_member(
             Membership.UNKNOWN, reason={"kind": "canonicalization_budget", **e.detail}
         )
     if cf is not None:
-        # The canonical form decides; the search over the generators up to x
-        # only supplies the certificate.
+        # The residue table decides and certifies: no search, no budget.
         if not cf.member(q):
             return MembershipResult(Membership.OUT)
-        gens = generator_stream(spec, depth_for_complete(spec, q))
-        found, cert = _bounded_member(gens, q, budget)
-        return MembershipResult(Membership.IN, certificate=cert if found else None)
+        parts = cf.nm.factorization(int(q / cf.scale))
+        return MembershipResult(
+            Membership.IN, certificate=tuple((cf.scale * a, c) for a, c in parts)
+        )
 
     if isinstance(spec, (IncreasingSequence, Geometric)):
         # Increasing streams: only generators <= x can appear in a sum.
@@ -793,7 +800,7 @@ def canonical_fg(spec: MonoidSpec) -> CanonicalFG | None:
     if total is not None:
         return canonicalize(generator_stream(spec, total))
     if isinstance(spec, IncreasingSequence):
-        return canonicalize(affine_finite_generators(spec))
+        return _affine_reduction(spec)[1]
     return canonicalize(generator_stream(spec, 1))  # integer ratio: 1 generates all of N0
 
 
@@ -807,14 +814,16 @@ def affine_finite_generators(spec: IncreasingSequence, cap: int = 4096) -> tuple
     terms taken, it suffices that d divides the slope and the next term and
     that the next term is already past the table's conductor.
     """
+    return _affine_reduction(spec, cap)[0]
+
+
+def _affine_reduction(spec: IncreasingSequence, cap: int = 4096) -> tuple[tuple[Fraction, ...], CanonicalFG]:
+    # The terms of ``affine_finite_generators`` and the canonical form built
+    # from the numerical monoid of the last doubling step.  The terms hold
+    # two consecutive tail terms, so their denominator lcm is ``den``.
     if not isinstance(spec.tail, AffineTail):
         raise ValueError("only affine tails reduce to a finite generator list")
-    den = math.lcm(
-        spec.tail.offset.denominator,
-        spec.tail.slope.denominator,
-        *(t.denominator for t in spec.prefix),
-        1,
-    )
+    den = _denominator_lcm((spec.tail.offset, spec.tail.slope, *spec.prefix))
     slope_scaled = int(spec.tail.slope * den)
     count = max(2, len(spec.prefix) + 2)
     while count <= cap:
@@ -825,7 +834,8 @@ def affine_finite_generators(spec: IncreasingSequence, cap: int = 4096) -> tuple
         if nxt % g == 0 and slope_scaled % g == 0:
             nm = NumericalMonoid(s // g for s in scaled)
             if nxt // g >= nm.conductor:
-                return tuple(terms)
+                cf = CanonicalFG(scale=Fraction(g, den), nm=nm, den_lcm=den, num_gcd=g)
+                return tuple(terms), cf
         count *= 2
     raise BudgetError("affine reduction did not stabilize", cap=cap)
 

@@ -6,12 +6,14 @@ The table decides membership in O(1), yields the largest gap (maximum
 table entry minus the modulus) and the conductor tail.  It is computed by
 the round-robin algorithm of Böcker and Lipták, one walk around each
 residue cycle per generator, in O(generators * modulus) steps, so no
-search bound ever has to be guessed.
+search bound ever has to be guessed.  The same pass keeps the minimal
+generators (a generator already reached by the smaller ones adds nothing)
+and, for each class, the generator of its last improvement, from which a
+factorization of any element is read off in one walk.
 
 ``reachable_bitmask`` is the deliberately separate ground truth: plain
 closure-by-shifting reachability with no residue reasoning, used by tests
-to cross-check the table route and at construction time to strip
-redundant generators.
+and by the oracle to cross-check the table route.
 """
 
 from __future__ import annotations
@@ -49,19 +51,7 @@ def reachable_bitmask(generators: Sequence[int], bound: int) -> int:
     return reach
 
 
-def _bit_positions(mask: int, limit: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        i = low.bit_length() - 1
-        if i > limit:
-            break
-        out.append(i)
-        mask ^= low
-    return out
-
-
-def _relax_residues(generators: Sequence[int], modulus: int) -> list[int]:
+def _relax_residues(generators: Sequence[int], modulus: int) -> tuple[list[int], list[int], list[int]]:
     # Least element of <modulus, generators> in each class mod `modulus`
     # (the residue table of the monoid when `modulus` belongs to it), by
     # the round-robin of Boecker & Liptak (Algorithmica 2007): after
@@ -72,13 +62,21 @@ def _relax_residues(generators: Sequence[int], modulus: int) -> list[int]:
     # A least entry uses at most modulus - 1 generators (a longer sum has
     # a nonempty part divisible by modulus, which could be dropped), so
     # `unreached` is larger than any entry.
-    unreached = modulus * max(generators) + 1
+    # Generators must come in ascending order: then g is a sum of earlier
+    # ones (and changes nothing) iff table[g % modulus] <= g, and the others
+    # are returned as `kept`.  via[r] is the generator that last lowered
+    # table[r], to an element plus via[r]; since the final table is least,
+    # table[r] - via[r] is then exactly the entry of class r - via[r].
+    unreached = modulus * generators[-1] + 1
     table = [unreached] * modulus
     table[0] = 0
+    via = [0] * modulus
+    kept = []
     for g in generators:
         step = g % modulus
-        if step == 0:
+        if table[step] <= g:
             continue
+        kept.append(g)
         d = math.gcd(step, modulus)
         cycle = modulus // d
         for p in range(d):
@@ -93,12 +91,13 @@ def _relax_residues(generators: Sequence[int], modulus: int) -> list[int]:
                     r -= modulus
                 best += g
                 cur = table[r]
-                if cur < best:
-                    best = cur
-                else:
+                if best < cur:
                     table[r] = best
+                    via[r] = g
+                else:
+                    best = cur
     assert unreached not in table
-    return table
+    return table, via, kept
 
 
 class NumericalMonoid:
@@ -107,11 +106,12 @@ class NumericalMonoid:
     Construction requires gcd 1 of the generators (otherwise the complement
     is infinite: divide the gcd out first).  Generators are deduplicated,
     sorted, and stripped down to the unique minimal generating set, so input
-    order never affects results.  Instances are immutable; the residue table
-    and largest gap are computed once at construction.
+    order never affects results.  Instances are immutable; one round-robin
+    pass at construction gives the residue table, the minimal generators and
+    the data behind ``factorization``.
     """
 
-    __slots__ = ("_min_gens", "_apery", "_frobenius")
+    __slots__ = ("_min_gens", "_apery", "_via", "_frobenius")
 
     def __init__(self, generators: Iterable[int]):
         gens = sorted(set(generators))
@@ -124,32 +124,13 @@ class NumericalMonoid:
             raise ValueError(
                 f"not cofinite: gcd of generators is {math.gcd(*gens)}; divide it out first"
             )
-        if gens[0] > _RESIDUE_LIMIT:
-            raise BudgetError("multiplicity too large for the residue table", multiplicity=gens[0], limit=_RESIDUE_LIMIT)
-        self._min_gens = self._minimalize(gens)
-        self._apery = tuple(_relax_residues(self._min_gens, self._min_gens[0]))
-        self._frobenius = max(self._apery) - self._min_gens[0]
-
-    @staticmethod
-    def _minimalize(gens: list[int]) -> tuple[int, ...]:
-        # A generator is redundant iff it splits as a sum of two nonzero
-        # monoid elements; both parts are then strictly smaller, so the
-        # reachability mask up to max(gens) settles every case.
-        bound = gens[-1]
-        reach = reachable_bitmask(gens, bound)
-        elements = [i + 1 for i in _bit_positions(reach >> 1, bound - 1)]  # nonzero elements
-        keep = []
-        for g in gens:
-            split = False
-            for u in elements:
-                if 2 * u > g:
-                    break
-                if (reach >> (g - u)) & 1:
-                    split = True
-                    break
-            if not split:
-                keep.append(g)
-        return tuple(keep)
+        m = gens[0]
+        if m > _RESIDUE_LIMIT:
+            raise BudgetError("multiplicity too large for the residue table", multiplicity=m, limit=_RESIDUE_LIMIT)
+        table, self._via, kept = _relax_residues(gens, m)
+        self._min_gens = (m, *kept)
+        self._apery = tuple(table)
+        self._frobenius = max(table) - m
 
     @property
     def minimal_generators(self) -> tuple[int, ...]:
@@ -181,6 +162,24 @@ class NumericalMonoid:
         m = self._min_gens[0]
         return self._apery[x % m] <= x
 
+    def factorization(self, x: int) -> tuple[tuple[int, int], ...]:
+        """One way to write ``x`` as a sum of minimal generators.
+
+        Pairs (generator, copies), largest generator first, read off the
+        residue table in at most ``multiplicity`` steps: no search, no budget.
+        Raises ValueError when ``x`` is not an element.
+        """
+        if not self.contains(x):
+            raise ValueError(f"{x} is not an element of the monoid")
+        m = self._min_gens[0]
+        r = x % m
+        copies = {m: (x - self._apery[r]) // m}
+        while r:
+            g = self._via[r]
+            copies[g] = copies.get(g, 0) + 1
+            r = (r - g) % m
+        return tuple((g, copies[g]) for g in sorted(copies, reverse=True) if copies[g])
+
     def __contains__(self, x: int) -> bool:
         return self.contains(x)
 
@@ -196,7 +195,7 @@ class NumericalMonoid:
             raise ValueError(f"{modulus} is not a nonzero element of the monoid")
         if modulus > _RESIDUE_LIMIT:
             raise BudgetError("residue table too large", modulus=modulus, limit=_RESIDUE_LIMIT)
-        return tuple(_relax_residues(self._min_gens, modulus))
+        return tuple(_relax_residues(self._min_gens, modulus)[0])
 
     def gaps(self) -> tuple[int, ...]:
         """All nonnegative integers outside the monoid, in increasing order."""

@@ -26,8 +26,6 @@ __all__ = [
     "RatSetSummary",
     "coerce_rational",
     "format_rational",
-    "make_rational",
-    "num_den",
     "parse_rational",
     "require_nonnegative",
     "require_positive",
@@ -40,23 +38,6 @@ RationalLike = Union[Fraction, int, str]
 # "a" or "a/b": no whitespace, no leading "+", no leading zeros, b >= 1.
 _UNSIGNED = re.compile(r"(?:0|[1-9][0-9]*)(?:/[1-9][0-9]*)?")
 _SIGNED = re.compile(r"-?(?:0|[1-9][0-9]*)(?:/[1-9][0-9]*)?")
-
-
-def make_rational(num: int, den: int = 1) -> Fraction:
-    """Canonical lowest-terms value; a zero denominator is rejected."""
-    if den == 0:
-        raise ZeroDivisionError("rational with zero denominator")
-    return Fraction(num, den)
-
-
-def num_den(q: Fraction) -> tuple[int, int]:
-    """Coprime (numerator, denominator) of a positive rational.
-
-    Defined on positive values only; zero and negatives are errors.
-    """
-    if q <= 0:
-        raise ValueError(f"numerator/denominator maps need a positive rational, got {q}")
-    return q.numerator, q.denominator
 
 
 @dataclass(frozen=True)

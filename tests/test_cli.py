@@ -1,5 +1,6 @@
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -185,3 +186,11 @@ def test_internal_error_exit_3(capsys, spec_file, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal error: RuntimeError: table went wrong\n"
+
+
+def test_fg_member_spends_no_budget(capsys, spec_file, monkeypatch):
+    # the residue table decides and certifies FG membership: no search nodes
+    monkeypatch.setenv("PUISEUX_BUDGET", "1")
+    code, payload = run_json(capsys, ["member", spec_file(FiniteGenerators([6, 9, 20])), "101"])
+    assert code == 0 and payload["status"] == "in"
+    assert sum(Fraction(a) * m for a, m in payload["certificate"]) == 101

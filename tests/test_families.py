@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -235,6 +236,26 @@ def test_member_long_generator_list_does_not_recurse():
     assert res.status == Membership.IN
     if res.certificate is not None:
         assert sum((a * m for a, m in res.certificate), F(0)) == 2999
+
+
+def test_member_long_generator_list_is_certified_fast():
+    # the residue table certifies 1999 + 1000 without a search
+    start = time.perf_counter()
+    res = spec_member(FiniteGenerators(range(1000, 2200)), 2999)
+    assert time.perf_counter() - start < 1.0
+    assert res.status == Membership.IN and res.certificate is not None
+    assert sum((a * m for a, m in res.certificate), F(0)) == 2999
+
+
+def test_affine_member_is_fast():
+    spec = IncreasingSequence(AffineTail(F(37, 7), F(1, 5)))
+    start = time.perf_counter()
+    res = spec_member(spec, F(207, 5))
+    assert time.perf_counter() - start < 0.2
+    assert res.status == Membership.IN
+    terms = {spec.term(k) for k in range(1, 200)}
+    assert all(a in terms and m >= 1 for a, m in res.certificate)
+    assert sum((a * m for a, m in res.certificate), F(0)) == F(207, 5)
 
 
 # --- JSON wire format ----------------------------------------------------

@@ -179,3 +179,75 @@ def test_large_multiplicity_table_is_fast(gens, seconds):
     nm = NumericalMonoid(gens)
     assert time.perf_counter() - start < seconds
     assert len(nm.apery) == gens[0] and nm.apery[gens[1] % gens[0]] == gens[1]
+
+
+def _oracle_minimal_generators(gens):
+    # g is redundant iff g - u is a sum of generators for some nonzero sum
+    # u <= g / 2 (both parts of a split are smaller than g, one at most g / 2)
+    gens = sorted(set(gens))
+    reach = reachable_bitmask(gens, gens[-1])
+    return tuple(
+        g
+        for g in gens
+        if not any((reach >> u) & 1 and (reach >> (g - u)) & 1 for u in range(1, g // 2 + 1))
+    )
+
+
+def _assert_factorization(nm, x):
+    parts = nm.factorization(x)
+    assert all(g in nm.minimal_generators and c >= 1 for g, c in parts)
+    assert sum(g * c for g, c in parts) == x
+
+
+@st.composite
+def generator_sets(draw):
+    gens = draw(st.lists(st.integers(1, 400), min_size=1, max_size=8, unique=True))
+    extra = draw(st.integers(1, 400).filter(lambda g: math.gcd(*gens, g) == 1))
+    return gens + [extra]
+
+
+@settings(max_examples=200, deadline=None)
+@given(generator_sets(), st.data())
+def test_minimal_generators_and_factorizations_against_bitmask(gens, data):
+    nm = NumericalMonoid(gens)
+    assert nm.minimal_generators == _oracle_minimal_generators(gens)
+    bound = nm.conductor + 3 * nm.multiplicity
+    mask = reachable_bitmask(gens, bound)
+    elements = [x for x in range(bound + 1) if (mask >> x) & 1]
+    assert [x for x in range(bound + 1) if nm.contains(x)] == elements
+    for x in data.draw(st.lists(st.sampled_from(elements), min_size=1, max_size=20)):
+        _assert_factorization(nm, x)
+    gap = nm.frobenius if nm.frobenius >= 0 else -1
+    with pytest.raises(ValueError):
+        nm.factorization(gap)
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [
+        [10007, 10009, 20011, 15013],  # multiplicity above 10**4
+        list(range(1000, 2200)),  # 1200 generators, 1000 of them minimal
+        [1201, *range(1300, 2500)],  # 1201 generators
+    ],
+)
+def test_large_monoids_against_bitmask(gens):
+    nm = NumericalMonoid(gens)
+    assert nm.minimal_generators == _oracle_minimal_generators(gens)
+    mask = reachable_bitmask(gens, nm.conductor + nm.multiplicity)
+    rng = random.Random(len(gens))
+    elements = [x for x in rng.sample(range(mask.bit_length()), 300) if (mask >> x) & 1]
+    assert elements and all(nm.contains(x) for x in elements)
+    for x in elements + [nm.conductor, nm.conductor + nm.multiplicity]:
+        _assert_factorization(nm, x)
+
+
+@pytest.mark.parametrize(
+    "gens, frobenius", [([7, 10**6 + 1], 5999999), ([2, 10**9 + 1], 999999999)]
+)
+def test_two_generators_far_apart_are_fast(gens, frobenius):
+    # minimality comes from the residue table, not from a mask up to max(gens)
+    start = time.perf_counter()
+    nm = NumericalMonoid(gens)
+    assert nm.frobenius == frobenius
+    assert time.perf_counter() - start < 0.5
+    _assert_factorization(nm, frobenius + 1)

@@ -8,33 +8,9 @@ from hypothesis import strategies as st
 from puiseux.rationals import (
     RatSetSummary,
     format_rational,
-    make_rational,
-    num_den,
     parse_rational,
     summarize,
 )
-
-
-def test_make_rational_reduces():
-    assert make_rational(6, 4) == Fraction(3, 2)
-    assert make_rational(0, 7) == Fraction(0, 1)
-    assert make_rational(10, 1) == Fraction(10)
-    assert make_rational(6, 4) == make_rational(3, 2)
-
-
-def test_make_rational_zero_denominator():
-    with pytest.raises(ZeroDivisionError):
-        make_rational(1, 0)
-
-
-def test_num_den():
-    assert num_den(Fraction(3, 2)) == (3, 2)
-    assert num_den(Fraction(5)) == (5, 1)
-    assert num_den(Fraction(10, 6)) == (5, 3)  # canonicalized on construction
-    with pytest.raises(ValueError):
-        num_den(Fraction(0))
-    with pytest.raises(ValueError):
-        num_den(Fraction(-1, 2))
 
 
 def test_summarize():
