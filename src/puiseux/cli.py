@@ -107,10 +107,6 @@ def _read_spec(path: str):
     return loads_spec(text)
 
 
-def _parse_x(text: str) -> Fraction:
-    return parse_rational(text)
-
-
 def _cmd_classify(args) -> tuple[dict, int]:
     verdict = classify_density(_read_spec(args.spec))
     payload: dict = {"class": verdict.klass, "rule": verdict.rule}
@@ -145,7 +141,7 @@ def _cmd_atoms(args) -> tuple[dict, int]:
 
 
 def _cmd_member(args) -> tuple[dict, int]:
-    result = spec_member(_read_spec(args.spec), _parse_x(args.x), budget=args.budget, depth=args.depth)
+    result = spec_member(_read_spec(args.spec), parse_rational(args.x), budget=args.budget, depth=args.depth)
     payload: dict = {"status": result.status}
     if result.certificate is not None:
         payload["certificate"] = [[a, m] for a, m in result.certificate]
@@ -155,7 +151,7 @@ def _cmd_member(args) -> tuple[dict, int]:
 
 
 def _cmd_factorize(args) -> tuple[dict, int]:
-    fs = factorizations(_read_spec(args.spec), _parse_x(args.x), budget=args.budget)
+    fs = factorizations(_read_spec(args.spec), parse_rational(args.x), budget=args.budget)
     payload = {
         "x": fs.x,
         "complete": fs.complete,
@@ -170,7 +166,7 @@ def _cmd_factorize(args) -> tuple[dict, int]:
 
 
 def _cmd_lengths(args) -> tuple[dict, int]:
-    ls = length_set(_read_spec(args.spec), _parse_x(args.x), budget=args.budget)
+    ls = length_set(_read_spec(args.spec), parse_rational(args.x), budget=args.budget)
     payload = {"x": ls.x, "lengths": list(ls.lengths), "complete": ls.complete}
     return payload, OK if ls.complete else UNDECIDED
 
@@ -226,8 +222,8 @@ def _cmd_probe(args) -> tuple[dict, int]:
 
 
 def _cmd_isolate(args) -> tuple[dict, int]:
-    pairs = right_isolation(_read_spec(args.spec), _parse_x(args.T))
-    payload = {"bound": _parse_x(args.T), "pairs": [[e, r] for e, r in pairs]}
+    pairs = right_isolation(_read_spec(args.spec), parse_rational(args.T))
+    payload = {"bound": parse_rational(args.T), "pairs": [[e, r] for e, r in pairs]}
     return payload, OK
 
 

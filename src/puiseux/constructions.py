@@ -26,19 +26,17 @@ the specific values, are the contract.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Iterable
 
 from .families import (
-    AffineTail,
+    _TAIL_FORMS,
     CantorShift,
     DenseAtoms,
     Geometric,
-    HarmonicTail,
     IncreasingSequence,
     MonoidSpec,
-    PrimeHarmonicTail,
     cantor_generators,
 )
 from .rationals import RationalLike, require_positive
@@ -107,18 +105,13 @@ def build_increasing(
     strictly increasing positive sequence are rejected.
     """
     prefix = tuple(prefix)
-    if form == "affine":
-        if offset is None or slope is None:
-            raise ValueError("affine form needs offset and slope")
-        return IncreasingSequence(AffineTail(offset, slope), prefix=prefix)
-    if form == "harmonic":
-        if limit is None or coeff is None:
-            raise ValueError("harmonic form needs limit and coeff")
-        return IncreasingSequence(HarmonicTail(limit, coeff), prefix=prefix)
-    if form == "prime_harmonic":
-        if limit is None or coeff is None:
-            raise ValueError("prime_harmonic form needs limit and coeff")
-        return IncreasingSequence(PrimeHarmonicTail(limit, coeff), prefix=prefix)
+    tail = _TAIL_FORMS.get(form) if isinstance(form, str) else None
+    if tail is not None:
+        given = {"offset": offset, "slope": slope, "limit": limit, "coeff": coeff}
+        names = [f.name for f in fields(tail)]
+        if any(given[n] is None for n in names):
+            raise ValueError(f"{form} form needs {' and '.join(names)}")
+        return IncreasingSequence(tail(*(given[n] for n in names)), prefix=prefix)
     if form == "geometric":
         if ratio is None:
             raise ValueError("geometric form needs ratio")

@@ -18,17 +18,13 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence, Union
+from itertools import chain
+from typing import Iterable, Sequence, Union
 
-from . import sequences
 from .families import (
-    CantorShift,
-    DenseAtoms,
-    Geometric,
-    IncreasingSequence,
+    Family,
     MonoidSpec,
-    PrimeReciprocalShift,
-    UnitFractionPowers,
+    as_family,
     depth_for_complete,
     generator_count,
     is_finitely_generated,
@@ -41,7 +37,13 @@ from .oracle import (
     enumerate_monoid,
     lattice_enumeration,
 )
-from .rationals import RationalLike, coerce_rational, require_nonnegative, require_positive
+from .rationals import (
+    RationalLike,
+    coerce_rational,
+    format_rational,
+    require_nonnegative,
+    require_positive,
+)
 
 __all__ = [
     "DenseWitness",
@@ -122,7 +124,6 @@ _D5 = (
     "D5: zero is separated from the nonzero elements, so the monoid is not dense; "
     "no nowhere-density criterion applies to this family"
 )
-_D6 = "D6: no classification rule matched"
 
 _CANTOR_NOTE = (
     "at unbounded depth the endpoint monoid is eventually dense (its pairwise sums "
@@ -134,62 +135,36 @@ _D5_NOTE = (
 )
 
 
-def _dense_atom_decreasing_sample(spec: DenseAtoms, scan: int = 2048) -> tuple[Fraction, ...]:
-    sample: list[Fraction] = []
-    for entry in sequences.dense_atom_entries(scan, spec.seed):
-        if not sample or entry.atom < sample[-1]:
-            sample.append(entry.atom)
-        if len(sample) >= 8:
-            break
-    return tuple(sample)
-
-
-def _isolation_sample(spec: Geometric | IncreasingSequence) -> IsolationWitness:
-    # Increasing sequences that are not finitely generated are bounded.
-    bound = spec.ratio**4 if isinstance(spec, Geometric) else (spec.term(6) + spec.limit) / 2
+def _isolation_sample(spec: Family) -> IsolationWitness:
+    # unbounded: up to the fifth generator; bounded: halfway from the sixth one to the limit
+    bound = spec.term(5) if spec.limit is None else (spec.term(6) + spec.limit) / 2
     pairs = right_isolation(spec, bound)
     return IsolationWitness(tuple(pairs[:6]))
 
 
 def classify_density(spec: MonoidSpec) -> DensityVerdict:
-    """Rule-table classification; first match wins and is cited in the verdict."""
-    if isinstance(spec, UnitFractionPowers):
-        sample = tuple(Fraction(1, spec.base**n) for n in range(1, 9))
-        return DensityVerdict(
-            DensityClass.DENSE,
-            rule=_D1,
-            witness=DenseWitness(sample, law=f"generator n is 1/{spec.base}**n"),
-        )
-    if isinstance(spec, Geometric) and spec.ratio < 1:
-        sample = tuple(spec.ratio**n for n in range(1, 9))
-        return DensityVerdict(
-            DensityClass.DENSE,
-            rule=_D1,
-            witness=DenseWitness(sample, law=f"generator n is ({spec.ratio})**n"),
-        )
-    if isinstance(spec, DenseAtoms):
-        return DensityVerdict(
-            DensityClass.DENSE,
-            rule=_D1,
-            witness=DenseWitness(
-                _dense_atom_decreasing_sample(spec),
-                law="atoms track a dense enumeration of the positive rationals within 1/k, "
-                "so they enter every neighborhood of zero",
-            ),
-        )
+    """Rule-table classification; the verdict cites its rule.
+
+    Finitely generated monoids sit on a lattice (D2, or D4 for the Cantor
+    truncations) and ascending streams are nowhere dense (D3); a family
+    whose generators approach zero declares the witness of D1; anything
+    else is D5.
+    """
+    spec = as_family(spec)
     if is_finitely_generated(spec):
-        cantor = isinstance(spec, CantorShift)
+        cantor = spec.density_row == "D4"
         return DensityVerdict(
             DensityClass.NOWHERE_DENSE,
             rule=_D4 if cantor else _D2,
             witness=LatticeWitness(fg_lattice_step(spec)),
             note=_CANTOR_NOTE if cantor else None,
         )
-    if isinstance(spec, (IncreasingSequence, Geometric)):
+    if spec.ascends:
         return DensityVerdict(DensityClass.NOWHERE_DENSE, rule=_D3, witness=_isolation_sample(spec))
-    if isinstance(spec, PrimeReciprocalShift):
-        return DensityVerdict(DensityClass.UNKNOWN, rule=_D5, note=_D5_NOTE)
-    return DensityVerdict(DensityClass.UNKNOWN, rule=_D6)
+    dense = spec.dense_witness()
+    if dense is not None:
+        return DensityVerdict(DensityClass.DENSE, rule=_D1, witness=DenseWitness(*dense))
+    return DensityVerdict(DensityClass.UNKNOWN, rule=_D5, note=_D5_NOTE)
 
 
 class ProbeResult(str, Enum):
@@ -218,8 +193,7 @@ class ProbeReport:
     complete: bool
 
     def describe(self) -> dict:
-        from .rationals import format_rational as fr
-
+        fr = format_rational
         out: dict = {
             "interval": [fr(self.interval[0]), fr(self.interval[1])],
             "epsilon": fr(self.epsilon),
@@ -247,16 +221,20 @@ def _classify_gaps(
     truncation: Truncation | None,
     complete: bool,
 ) -> ProbeReport:
-    interval = (lo, hi)
     if largest_gap is None or largest_gap[1] - largest_gap[0] <= epsilon:
-        return ProbeReport(interval, epsilon, ProbeResult.EPS_DENSE, None, count, truncation, complete)
-    if complete:
-        return ProbeReport(
-            interval, epsilon, ProbeResult.GAP_WITNESS, largest_gap, count, truncation, complete
-        )
-    return ProbeReport(
-        interval, epsilon, ProbeResult.INCONCLUSIVE, largest_gap, count, truncation, complete
-    )
+        result, largest_gap = ProbeResult.EPS_DENSE, None
+    else:
+        result = ProbeResult.GAP_WITNESS if complete else ProbeResult.INCONCLUSIVE
+    return ProbeReport((lo, hi), epsilon, result, largest_gap, count, truncation, complete)
+
+
+def _widest(gaps: Iterable[tuple[Fraction, Fraction]]) -> tuple[Fraction, Fraction] | None:
+    """The first of the widest nonempty open intervals (a, b), if any."""
+    best: tuple[Fraction, Fraction] | None = None
+    for a, b in gaps:
+        if b > a and (best is None or b - a > best[1] - best[0]):
+            best = (a, b)
+    return best
 
 
 def _largest_gap_from_points(
@@ -265,18 +243,7 @@ def _largest_gap_from_points(
     inside = sorted(p for p in points if lo <= p <= hi)
     if not inside:
         return (lo, hi), 0
-    best: tuple[Fraction, Fraction] | None = None
-
-    def consider(a: Fraction, b: Fraction) -> None:
-        nonlocal best
-        if b > a and (best is None or b - a > best[1] - best[0]):
-            best = (a, b)
-
-    consider(lo, inside[0])
-    for a, b in zip(inside, inside[1:]):
-        consider(a, b)
-    consider(inside[-1], hi)
-    return best, len(inside)
+    return _widest(chain([(lo, inside[0])], zip(inside, inside[1:]), [(inside[-1], hi)])), len(inside)
 
 
 _ZERO_RUN = re.compile(r"0+")
@@ -295,15 +262,7 @@ def _largest_gap_from_mask(
     count = bin(window).count("1")
     first = Fraction(lo_bit + (window & -window).bit_length() - 1, den)
     last = Fraction(lo_bit + window.bit_length() - 1, den)
-    best: tuple[Fraction, Fraction] | None = None
-
-    def consider(a: Fraction, b: Fraction) -> None:
-        nonlocal best
-        if b > a and (best is None or b - a > best[1] - best[0]):
-            best = (a, b)
-
-    consider(lo, first)
-    consider(last, hi)
+    gaps = [(lo, first), (last, hi)]
     bits = bin(window)[2:].rstrip("0")  # most-significant first; tail zeros are the low edge
     length = len(bits)
     # longest zero run between set bits; adjacent set bits still sit 1/den apart
@@ -317,8 +276,17 @@ def _largest_gap_from_mask(
         run_len, start = run
         low_neighbor = lo_bit + (length - start - run_len - 1)
         high_neighbor = lo_bit + (length - start)
-        consider(Fraction(low_neighbor, den), Fraction(high_neighbor, den))
-    return best, count
+        gaps.append((Fraction(low_neighbor, den), Fraction(high_neighbor, den)))
+    return _widest(gaps), count
+
+
+def _window(lo: RationalLike, hi: RationalLike, epsilon: RationalLike) -> tuple[Fraction, ...]:
+    lo_f = require_nonnegative(lo, what="lo")
+    hi_f = coerce_rational(hi, what="hi")
+    eps = require_positive(epsilon, what="epsilon")
+    if not lo_f < hi_f:
+        raise ValueError("need lo < hi")
+    return lo_f, hi_f, eps
 
 
 def point_set_report(
@@ -329,11 +297,7 @@ def point_set_report(
     complete: bool = True,
 ) -> ProbeReport:
     """Coverage report for an explicit point set (atom sets, samples)."""
-    lo_f = require_nonnegative(lo, what="lo")
-    hi_f = coerce_rational(hi, what="hi")
-    eps = require_positive(epsilon, what="epsilon")
-    if not lo_f < hi_f:
-        raise ValueError("need lo < hi")
+    lo_f, hi_f, eps = _window(lo, hi, epsilon)
     gap, count = _largest_gap_from_points(points, lo_f, hi_f)
     return _classify_gaps(lo_f, hi_f, eps, count, gap, None, complete)
 
@@ -352,11 +316,7 @@ def probe_density(
     infinite ones are truncated at ``depth`` generators, and a gap is only
     ever *asserted* when the truncation is provably complete on the window.
     """
-    lo_f = require_nonnegative(lo, what="lo")
-    hi_f = coerce_rational(hi, what="hi")
-    eps = require_positive(epsilon, what="epsilon")
-    if not lo_f < hi_f:
-        raise ValueError("need lo < hi")
+    lo_f, hi_f, eps = _window(lo, hi, epsilon)
     if depth < 1:
         raise ValueError("depth must be >= 1")
     total = generator_count(spec)

@@ -6,26 +6,21 @@ number of parts counted with multiplicity.  Enumeration orders atoms
 descending and bounds each multiplicity by floor(remaining / atom), which
 gives canonical output order and tight pruning without heuristics.
 
-Atomicity verdicts are per family:
+Atomicity verdicts follow the family table.  A family's declared
+``atom_row`` comes first:
 
-* the prime-reciprocal family, bounded or not, is atomic with every
-  generator an atom: all generators lie below 2, the least possible value
-  of any two-part sum;
-* every other finitely generated family (finite generator lists, shifted
-  Cantor endpoints, integer geometric ratios, affine increasing tails) is
-  answered from its canonical form: atomic, with atoms the minimal
-  generators of the scaled numerical monoid;
-* the remaining increasing streams (geometric ratios above 1 with
-  nonunit denominator, harmonic and prime-harmonic tails) are atomic, and a
-  generator is an atom iff it is not a sum from the earlier generators, the
-  only candidates below it;
-* unit-fraction powers (and geometric ratios 1/b) have no atoms at all:
-  every generator splits as base copies of the next one;
-* the dense-atom family is atomic because distinct generators carry powers
-  of distinct primes in their denominators;
-* contracting geometric ratios with nonunit numerator are deliberately
-  reported unknown: no decision criterion is implemented, and guessing
-  would be worse than saying so.
+* every generator is an atom: the prime-reciprocal family, bounded or not
+  (all generators lie below 2, the least two-part sum), and the dense-atom
+  family (distinct generators carry powers of distinct primes);
+* antimatter: unit-fraction powers, and geometric ratios 1/b (every
+  generator splits as base copies of the next one);
+* unknown: contracting geometric ratios with nonunit numerator, for which
+  no criterion is implemented, and guessing would be worse than saying so.
+
+Every other finitely generated family is atomic, with atoms the minimal
+generators of its canonical form; every other ascending stream is atomic,
+and a generator is an atom iff it is not a sum of the earlier generators,
+the only candidates below it.
 """
 
 from __future__ import annotations
@@ -37,18 +32,14 @@ from typing import Sequence
 
 from .errors import BudgetError
 from .families import (
-    DenseAtoms,
-    Geometric,
-    MonoidSpec,
-    PrimeReciprocalShift,
-    UnitFractionPowers,
     DEFAULT_NODE_BUDGET,
+    MonoidSpec,
     _bounded_member,
+    as_family,
     canonical_fg,
     depth_for_complete,
     generator_count,
     generator_stream,
-    prime_reciprocal_solutions,
 )
 from .rationals import RationalLike, require_nonnegative
 
@@ -146,6 +137,7 @@ _RULE_DENSE = (
 _RULE_UNKNOWN = (
     "atoms.unknown: no criterion for contracting geometric ratios with nonunit numerator"
 )
+_EVERY_GENERATOR = {"prime-reciprocal": _RULE_PRS, "distinct-prime-powers": _RULE_DENSE}
 
 
 def _increasing_filter(
@@ -170,26 +162,17 @@ def atoms(
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
-
-    if isinstance(spec, UnitFractionPowers):
+    spec = as_family(spec).simplest()
+    row = spec.atom_row
+    if row == "antimatter":
         return AtomicityVerdict(AtomicityKind.ANTIMATTER, (), truncated=False, rule=_RULE_ANTIMATTER)
-
-    if isinstance(spec, Geometric) and spec.ratio < 1:
-        if spec.ratio.numerator == 1:
-            return AtomicityVerdict(AtomicityKind.ANTIMATTER, (), truncated=False, rule=_RULE_ANTIMATTER)
+    if row == "unknown":
         return AtomicityVerdict(AtomicityKind.UNKNOWN, (), truncated=False, rule=_RULE_UNKNOWN)
-
-    if isinstance(spec, PrimeReciprocalShift):
+    if row is not None:  # every generator is an atom, for the reason the row names
         total = generator_count(spec)
-        take = limit if total is None else min(limit, total)
-        truncated = total is None or take < total
-        return AtomicityVerdict(
-            AtomicityKind.ATOMIC, generator_stream(spec, take), truncated=truncated, rule=_RULE_PRS
-        )
-
-    if isinstance(spec, DenseAtoms):
-        shown = generator_stream(spec, limit)
-        return AtomicityVerdict(AtomicityKind.ATOMIC, shown, truncated=True, rule=_RULE_DENSE)
+        truncated = total is None or limit < total
+        shown = generator_stream(spec, limit)  # the whole stream of a finite family
+        return AtomicityVerdict(AtomicityKind.ATOMIC, shown, truncated, rule=_EVERY_GENERATOR[row])
 
     cf = canonical_fg(spec)
     if cf is not None:
@@ -267,35 +250,24 @@ def factorizations(
     unknown-atom families are errors.
     """
     q = require_nonnegative(x, what="element")
-
-    if isinstance(spec, UnitFractionPowers) or (
-        isinstance(spec, Geometric) and spec.ratio < 1 and spec.ratio.numerator == 1
-    ):
+    spec = as_family(spec).simplest()
+    row = spec.atom_row
+    if row == "antimatter":
         raise ValueError("no atoms: the monoid is antimatter")
-    if isinstance(spec, Geometric) and spec.ratio < 1:
+    if row == "unknown":
         raise ValueError("atom set unknown for contracting geometric ratios with nonunit numerator")
-    if isinstance(spec, DenseAtoms):
-        if q == 0:
-            return FactorizationSet(q, (Factorization(()),), complete=True)
-        raise ValueError("infinitely many atoms below any positive bound; no complete enumeration")
-
     if q == 0:
         return FactorizationSet(q, (Factorization(()),), complete=True)
+    if row == "distinct-prime-powers":
+        raise ValueError("infinitely many atoms below any positive bound; no complete enumeration")
 
-    if isinstance(spec, PrimeReciprocalShift):
-        try:
-            sols = prime_reciprocal_solutions(q, spec.prime_bound, budget)
-        except BudgetError:
-            return FactorizationSet(q, (), complete=False, note="node budget exhausted")
-        items = []
-        for ones, primes in sols:
-            parts: list[tuple[Fraction, int]] = []
-            for p in sorted(set(primes)):
-                parts.append((1 + Fraction(1, p), primes.count(p)))
-            if ones:
-                parts.append((Fraction(1), ones))
-            items.append(Factorization(tuple(sorted(parts, reverse=True))))
-        return FactorizationSet(q, tuple(sorted(items, key=lambda f: f.parts)), complete=True)
+    try:
+        own = spec.factorizations(q, budget)  # a family with an exact search of its own
+    except BudgetError:
+        return FactorizationSet(q, (), complete=False, note="node budget exhausted")
+    if own is not None:
+        items = sorted(map(Factorization, own), key=lambda f: f.parts)
+        return FactorizationSet(q, tuple(items), complete=True)
 
     below, below_complete = _atoms_below(spec, q, budget)
     items, exhausted = _enumerate(sorted(below, reverse=True), q, budget)

@@ -9,6 +9,9 @@ deliberately closed: every downstream classification rule must know each
 family's limit-point structure, so arbitrary generator callbacks are
 rejected by design.
 
+Each family is one ``Family`` class that states its facts once; the rule
+modules read those facts and never test a family's type.
+
 This module owns canonicalization of finitely generated monoids (as
 scale * numerical monoid), deterministic generator streaming, exact or
 budgeted membership, and the JSON wire format used by the CLI.
@@ -18,13 +21,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import ClassVar, Iterable
 
 from . import sequences
 from .errors import BudgetError
+from .groups import INFINITE, CyclicScaled, GroupDescription, LocalizedScaled, UnknownGroup
 from .numerical import NumericalMonoid
 from .rationals import (
     RationalLike,
@@ -40,6 +44,7 @@ __all__ = [
     "CanonicalFG",
     "CantorShift",
     "DenseAtoms",
+    "Family",
     "FiniteGenerators",
     "Geometric",
     "HarmonicTail",
@@ -49,8 +54,10 @@ __all__ = [
     "MonoidSpec",
     "PrimeHarmonicTail",
     "PrimeReciprocalShift",
+    "Tail",
     "UnitFractionPowers",
     "affine_finite_generators",
+    "as_family",
     "canonical_fg",
     "canonicalize",
     "cantor_generators",
@@ -79,11 +86,98 @@ def _positive_tuple(values: Iterable[RationalLike], *, what: str) -> tuple[Fract
 
 
 # ---------------------------------------------------------------------------
-# Monoid descriptions
+# The family table
+
+
+class Family:
+    """A catalog family.  Each one states its facts here, once:
+
+    * its generator law: ``stream(count)``, the first ``count`` generators
+      in canonical order, or ``term(k)``, the k-th one; and ``size``, the
+      number of generators (None when infinite);
+    * ``finitely_generated``, with ``canonical()`` its canonical form;
+    * ``ascends``: the stream is strictly increasing, towards ``limit``
+      (None when unbounded), which gives the shared ascending-stream route:
+      complete below the limit at a finite depth, nowhere dense (D3), empty
+      conductor (R3), atoms by the increasing filter;
+    * ``floor``: for a stream that does not ascend, its first generator
+      when every later one exceeds it; None when the generators come
+      arbitrarily close to zero;
+    * ``group()``: the difference group, from the localized denominators;
+    * the rows of the paper's table that finite generation and an
+      ascending stream leave open: ``dense_witness()`` (D1: zero is a
+      limit point of the generators), ``density_row`` ("D4" for the
+      Cantor lattice), ``conductor_row`` ("R1", "R4" or "R5", the last
+      with ``conductor_reason``), ``atom_row`` ("antimatter", "unknown",
+      or why every generator is an atom), and ``decide(q, budget)`` and
+      ``factorizations(q, budget)`` for a family with an exact search of
+      its own;
+    * ``simplest()``: the simplest catalog description of the same monoid;
+    * its wire form: ``variant``, ``wire()`` and ``from_wire(obj)``, whose
+      keys are the dataclass fields.
+    """
+
+    variant: ClassVar[str]
+    size: int | None = None
+    finitely_generated = False
+    ascends = False
+    limit: Fraction | None = None
+    floor: Fraction | None = None
+    density_row: str | None = None
+    conductor_row: str | None = None
+    conductor_reason: str | None = None
+    atom_row: str | None = None
+
+    # A family defines stream or term; each default builds on the other.
+    def stream(self, count: int) -> tuple[Fraction, ...]:
+        return tuple(self.term(k) for k in range(1, count + 1))
+
+    def term(self, k: int) -> Fraction:
+        return self.stream(k)[k - 1]
+
+    def canonical(self) -> CanonicalFG:
+        return canonicalize(self.stream(self.size))
+
+    def dense_witness(self) -> tuple[tuple[Fraction, ...], str] | None:
+        return None
+
+    def decide(self, q: Fraction, budget: int) -> MembershipResult | None:
+        return None
+
+    def factorizations(self, q: Fraction, budget: int, first_only: bool = False) -> list | None:
+        return None
+
+    def simplest(self) -> Family:
+        return self
+
+    # The default wire form is the raw field values.
+    def wire(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @classmethod
+    def from_wire(cls, obj: dict) -> Family:
+        return cls(**{f.name: obj[f.name] for f in fields(cls)})
+
+
+class Tail:
+    """A tail law of ``IncreasingSequence``: ``term(k)``, ``bounded`` (towards
+    ``limit_value``), ``finitely_generated``, the difference ``group(seq)``
+    of a sequence ending in it, and its wire ``form``."""
+
+    form: ClassVar[str]
+    finitely_generated = False
+    signed: ClassVar[tuple[str, ...]] = ()  # fields that may be zero or negative
+
+    def wire(self) -> dict:
+        return {f.name: format_rational(getattr(self, f.name)) for f in fields(self)}
+
+    @classmethod
+    def from_wire(cls, obj: dict) -> Tail:
+        return cls(*(_rat(obj, f.name, signed=f.name in cls.signed) for f in fields(cls)))
 
 
 @dataclass(frozen=True)
-class FiniteGenerators:
+class FiniteGenerators(Family):
     """Monoid generated by a finite set of positive rationals.
 
     Generators are deduplicated and sorted ascending on construction, so
@@ -91,6 +185,9 @@ class FiniteGenerators:
     """
 
     generators: tuple[Fraction, ...]
+    variant = "finite"
+    finitely_generated = True
+    ascends = True
 
     def __init__(self, generators: Iterable[RationalLike]):
         gens = tuple(sorted(set(_positive_tuple(generators, what="generator"))))
@@ -98,12 +195,42 @@ class FiniteGenerators:
             raise ValueError("at least one generator is required")
         object.__setattr__(self, "generators", gens)
 
+    @property
+    def size(self) -> int:
+        return len(self.generators)
+
+    def stream(self, count: int) -> tuple[Fraction, ...]:
+        return self.generators[:count]
+
+    def group(self) -> GroupDescription:
+        return _cyclic(self.generators)
+
+    def wire(self) -> dict:
+        return {"generators": [format_rational(g) for g in self.generators]}
+
+    @classmethod
+    def from_wire(cls, obj: dict) -> FiniteGenerators:
+        return cls(_rats(obj, "generators"))
+
 
 @dataclass(frozen=True)
-class Geometric:
-    """Monoid generated by all nonnegative powers of a fixed ratio r != 1."""
+class Geometric(Family):
+    """Monoid generated by all nonnegative powers of a fixed ratio r != 1.
+
+    An integer ratio gives the nonnegative integers, any other ratio above
+    1 an unbounded ascending stream.  A ratio 1/d gives the same monoid as
+    ``UnitFractionPowers(d)`` (``simplest``), so the atom and conductor
+    rows here are those of the other contracting ratios, for which no
+    criterion is implemented.
+    """
 
     ratio: Fraction
+    variant = "geometric"
+    conductor_row = "R5"
+    conductor_reason = (
+        "supremum of closure-minus-monoid undetermined for contracting ratios "
+        "with nonunit numerator"
+    )
 
     def __init__(self, ratio: RationalLike):
         r = require_positive(ratio, what="ratio")
@@ -111,95 +238,183 @@ class Geometric:
             raise ValueError("ratio 1 generates the nonnegative integers; use FiniteGenerators([1])")
         object.__setattr__(self, "ratio", r)
 
+    @property
+    def finitely_generated(self) -> bool:
+        return self.ratio.denominator == 1
+
+    @property
+    def ascends(self) -> bool:
+        return self.ratio > 1
+
+    @property
+    def atom_row(self) -> str | None:
+        return None if self.ratio > 1 else "unknown"  # ratios above 1 are FG or ascend
+
+    def term(self, k: int) -> Fraction:
+        return self.ratio ** (k - 1)
+
+    def canonical(self) -> CanonicalFG:
+        return canonicalize(self.stream(1))  # integer ratio: 1 generates all of N0
+
+    def group(self) -> GroupDescription:
+        if self.ratio.denominator == 1:
+            return CyclicScaled(Fraction(1))  # the monoid is all of N0
+        return _localized_at(self.ratio.denominator)
+
+    def dense_witness(self) -> tuple[tuple[Fraction, ...], str]:
+        return tuple(self.ratio**n for n in range(1, 9)), f"generator n is ({self.ratio})**n"
+
+    def simplest(self) -> Family:
+        if self.ratio.numerator == 1:
+            return UnitFractionPowers(self.ratio.denominator)  # 1 = d * (1/d)
+        return self
+
+    def wire(self) -> dict:
+        return {"ratio": format_rational(self.ratio)}
+
+    @classmethod
+    def from_wire(cls, obj: dict) -> Geometric:
+        return cls(_rat(obj, "ratio"))
+
 
 @dataclass(frozen=True)
-class UnitFractionPowers:
-    """Monoid generated by 1/base**n for n >= 1 (base >= 2)."""
+class UnitFractionPowers(Family):
+    """Monoid generated by 1/base**n for n >= 1 (base >= 2).
+
+    It is root-closed, so its conductor is the whole monoid (R1), and
+    antimatter: every generator is base copies of the next one.
+    """
 
     base: int
+    variant = "unit_fraction_powers"
+    conductor_row = "R1"
+    atom_row = "antimatter"
 
     def __post_init__(self):
         if not isinstance(self.base, int) or isinstance(self.base, bool) or self.base < 2:
             raise ValueError(f"base must be an integer >= 2, got {self.base!r}")
 
+    def term(self, k: int) -> Fraction:
+        return Fraction(1, self.base**k)
+
+    def group(self) -> GroupDescription:
+        return _localized_at(self.base)
+
+    def dense_witness(self) -> tuple[tuple[Fraction, ...], str]:
+        return self.stream(8), f"generator n is 1/{self.base}**n"
+
+    def decide(self, q: Fraction, budget: int) -> MembershipResult:
+        if not self.group().member(q):
+            return MembershipResult(Membership.OUT)
+        # q = a / d with d | base**n: a copies of 1/base**n certify membership.
+        n = 1
+        while (q * self.base**n).denominator != 1:
+            n += 1
+        return MembershipResult(
+            Membership.IN, certificate=((Fraction(1, self.base**n), int(q * self.base**n)),)
+        )
+
 
 @dataclass(frozen=True)
-class AffineTail:
-    """term(k) = offset + slope * k; strictly increasing and unbounded."""
+class AffineTail(Tail):
+    """term(k) = offset + slope * k; strictly increasing and unbounded.
+
+    Its denominators are bounded, so a scaled copy of the monoid sits
+    inside the nonnegative integers and is finitely generated.
+    """
 
     offset: Fraction
     slope: Fraction
+    form = "affine"
+    signed = ("offset",)
+    bounded = False
+    limit_value = None
+    finitely_generated = True
 
     def __init__(self, offset: RationalLike, slope: RationalLike):
         object.__setattr__(self, "offset", coerce_rational(offset, what="offset"))
         object.__setattr__(self, "slope", require_positive(slope, what="slope"))
 
-    bounded = False
-    limit_value = None
-
     def term(self, k: int) -> Fraction:
         return self.offset + self.slope * k
 
+    def group(self, seq: IncreasingSequence) -> GroupDescription:
+        # the prefix, the first tail term and the slope span the progression's group
+        return _cyclic((*seq.prefix, self.term(len(seq.prefix) + 1), self.slope))
+
 
 @dataclass(frozen=True)
-class HarmonicTail:
-    """term(k) = limit - coeff / k; strictly increasing with the given limit."""
-
+class _LimitTail(Tail):
     limit: Fraction
     coeff: Fraction
-
-    def __init__(self, limit: RationalLike, coeff: RationalLike):
-        object.__setattr__(self, "limit", require_positive(limit, what="limit"))
-        object.__setattr__(self, "coeff", require_positive(coeff, what="coeff"))
-
     bounded = True
+
+    def __post_init__(self):
+        object.__setattr__(self, "limit", require_positive(self.limit, what="limit"))
+        object.__setattr__(self, "coeff", require_positive(self.coeff, what="coeff"))
 
     @property
     def limit_value(self) -> Fraction:
         return self.limit
+
+
+@dataclass(frozen=True)
+class HarmonicTail(_LimitTail):
+    """term(k) = limit - coeff / k; strictly increasing with the given limit."""
+
+    form = "harmonic"
 
     def term(self, k: int) -> Fraction:
         return self.limit - self.coeff / k
 
+    def group(self, seq: IncreasingSequence) -> GroupDescription:
+        unit = _numerator_gcd(seq.stream(512))
+        if unit is None:
+            return _UNSCANNED
+        # Denominators c*k / gcd(...) realize every prime power as k runs.
+        return LocalizedScaled(unit=unit, overrides=(), default_exponent=INFINITE)
+
 
 @dataclass(frozen=True)
-class PrimeHarmonicTail:
+class PrimeHarmonicTail(_LimitTail):
     """term(k) = limit - coeff / p_k with p_k the k-th prime."""
 
-    limit: Fraction
-    coeff: Fraction
-
-    def __init__(self, limit: RationalLike, coeff: RationalLike):
-        object.__setattr__(self, "limit", require_positive(limit, what="limit"))
-        object.__setattr__(self, "coeff", require_positive(coeff, what="coeff"))
-
-    bounded = True
-
-    @property
-    def limit_value(self) -> Fraction:
-        return self.limit
+    form = "prime_harmonic"
 
     def term(self, k: int) -> Fraction:
         return self.limit - self.coeff / sequences.nth_prime(k)
 
-
-Tail = Union[AffineTail, HarmonicTail, PrimeHarmonicTail]
+    def group(self, seq: IncreasingSequence) -> GroupDescription:
+        unit = _numerator_gcd(seq.stream(512))
+        if unit is None:
+            return _UNSCANNED
+        if self.limit.denominator != 1 or self.coeff.denominator != 1:
+            return UnknownGroup("prime-indexed tail with non-integer parameters")
+        prefix_den = math.lcm(*(t.denominator for t in seq.prefix), 1)
+        caps: dict[int, int | None] = dict(sequences.factorize(prefix_den))
+        for p in sequences.factorize(int(self.coeff)):
+            # term k with p_k = p is an integer: p never enters through the tail
+            caps.setdefault(p, 0)
+        return LocalizedScaled(unit=unit, overrides=tuple(caps.items()), default_exponent=1)
 
 
 @dataclass(frozen=True)
-class IncreasingSequence:
+class IncreasingSequence(Family):
     """Monoid generated by a strictly increasing rational sequence.
 
     An explicit finite prefix may override the first terms; from index
     len(prefix)+1 on, terms follow the declared tail law.  ``bounded`` and
     ``limit`` are stored explicitly (they are part of the wire format) and
-    validated against the tail.
+    validated against the tail.  The tail decides finite generation and
+    the difference group.
     """
 
     prefix: tuple[Fraction, ...]
     tail: Tail
     bounded: bool
     limit: Fraction | None
+    variant = "increasing"
+    ascends = True
 
     def __init__(
         self,
@@ -208,7 +423,7 @@ class IncreasingSequence:
         bounded: bool | None = None,
         limit: RationalLike | None = None,
     ):
-        if not isinstance(tail, (AffineTail, HarmonicTail, PrimeHarmonicTail)):
+        if not isinstance(tail, Tail):
             raise ValueError(f"tail must come from the tail catalog, got {type(tail).__name__}")
         pre = _positive_tuple(prefix, what="prefix term")
         for a, b in zip(pre, pre[1:]):
@@ -240,6 +455,10 @@ class IncreasingSequence:
         object.__setattr__(self, "bounded", bounded)
         object.__setattr__(self, "limit", lim)
 
+    @property
+    def finitely_generated(self) -> bool:
+        return self.tail.finitely_generated
+
     def term(self, k: int) -> Fraction:
         if k < 1:
             raise ValueError("term index must be >= 1")
@@ -247,65 +466,221 @@ class IncreasingSequence:
             return self.prefix[k - 1]
         return self.tail.term(k)
 
+    def canonical(self) -> CanonicalFG:
+        return _affine_reduction(self)[1]
+
+    def group(self) -> GroupDescription:
+        return self.tail.group(self)
+
+    def wire(self) -> dict:
+        return {
+            "prefix": [format_rational(t) for t in self.prefix],
+            "tail": {"form": self.tail.form, **self.tail.wire()},
+            "bounded": self.bounded,
+            "limit": None if self.limit is None else format_rational(self.limit),
+        }
+
+    @classmethod
+    def from_wire(cls, obj: dict) -> IncreasingSequence:
+        prefix = _rats(obj, "prefix")
+        return cls(
+            tail=_from_table(obj["tail"], _TAIL_FORMS, "tail", "form"),
+            prefix=prefix,
+            bounded=obj["bounded"],
+            limit=None if obj["limit"] is None else _rat(obj, "limit"),
+        )
+
 
 @dataclass(frozen=True)
-class PrimeReciprocalShift:
+class PrimeReciprocalShift(Family):
     """Monoid generated by {1} and {1 + 1/p} for primes p.
 
-    ``prime_bound`` None means all primes; an integer P keeps only p <= P.
+    ``prime_bound`` None means all primes; an integer P keeps only p <= P,
+    which makes the monoid finitely generated.  Every generator lies in
+    [1, 2), below the least two-part sum, so every generator is an atom;
+    membership and factorizations have their own exact search
+    (``prime_reciprocal_solutions``).
     """
 
     prime_bound: int | None
+    variant = "prime_reciprocal_shift"
+    floor = Fraction(1)
+    conductor_row = "R4"  # all primes; a bound makes the monoid finitely generated
+    atom_row = "prime-reciprocal"
 
     def __post_init__(self):
         b = self.prime_bound
-        if b is None:
-            return
-        if not isinstance(b, int) or isinstance(b, bool) or b < 2:
+        if b is not None and (not isinstance(b, int) or isinstance(b, bool) or b < 2):
             raise ValueError(f"prime_bound must be None or an integer >= 2, got {b!r}")
+
+    @property
+    def size(self) -> int | None:
+        return None if self.prime_bound is None else 1 + len(sequences.primes_upto(self.prime_bound))
+
+    @property
+    def finitely_generated(self) -> bool:
+        return self.prime_bound is not None
+
+    def stream(self, count: int) -> tuple[Fraction, ...]:
+        size = self.size
+        if size is not None:
+            count = min(count, size)
+        return (Fraction(1), *(1 + Fraction(1, sequences.nth_prime(k)) for k in range(1, count)))
+
+    def group(self) -> GroupDescription:
+        if self.prime_bound is None:
+            return LocalizedScaled(unit=1, overrides=(), default_exponent=1)
+        overrides = tuple((p, 1) for p in sequences.primes_upto(self.prime_bound))
+        return LocalizedScaled(unit=1, overrides=overrides, default_exponent=0)
+
+    def decide(self, q: Fraction, budget: int) -> MembershipResult:
+        if q < self.floor:
+            return MembershipResult(Membership.OUT)  # every nonzero element is >= 1
+        try:
+            found = self.factorizations(q, budget, first_only=True)
+        except BudgetError:
+            return MembershipResult(
+                Membership.UNKNOWN, reason={"kind": "node_budget", "node_budget": budget}
+            )
+        if not found:
+            return MembershipResult(Membership.OUT)
+        return MembershipResult(Membership.IN, certificate=found[0][::-1])  # atoms ascending
+
+    def factorizations(self, q: Fraction, budget: int, first_only: bool = False) -> list:
+        """Factorizations of q, each with atoms descending: 1 + 1/p for p
+        ascending, then 1.  Raises BudgetError past the node budget."""
+        out = []
+        for ones, primes in prime_reciprocal_solutions(q, self.prime_bound, budget, first_only):
+            parts = [(1 + Fraction(1, p), primes.count(p)) for p in sorted(set(primes))]
+            out.append(tuple(parts + [(Fraction(1), ones)] if ones else parts))
+        return out
+
+    def wire(self) -> dict:
+        return {"prime_bound": "all" if self.prime_bound is None else self.prime_bound}
+
+    @classmethod
+    def from_wire(cls, obj: dict) -> PrimeReciprocalShift:
+        bound = obj["prime_bound"]
+        return cls(None if bound == "all" else bound)
 
 
 @dataclass(frozen=True)
-class CantorShift:
-    """Monoid generated by 1 + E, E the ternary-removal endpoints after `depth` rounds."""
+class CantorShift(Family):
+    """Monoid generated by 1 + E, E the ternary-removal endpoints after `depth` rounds.
+
+    Finitely generated, with its own density rule (D4).
+    """
 
     depth: int
+    variant = "cantor_shift"
+    finitely_generated = True
+    ascends = True
+    density_row = "D4"
 
     def __post_init__(self):
         if not isinstance(self.depth, int) or isinstance(self.depth, bool) or self.depth < 1:
             raise ValueError(f"depth must be an integer >= 1, got {self.depth!r}")
 
+    @property
+    def size(self) -> int:
+        return 2 ** (self.depth + 1)
+
+    def stream(self, count: int) -> tuple[Fraction, ...]:
+        return cantor_generators(self.depth)[:count]
+
+    def group(self) -> GroupDescription:
+        return LocalizedScaled(unit=1, overrides=((3, self.depth),), default_exponent=0)
+
 
 @dataclass(frozen=True)
-class DenseAtoms:
+class DenseAtoms(Family):
     """The dense-atom construction over a seed enumeration of the rationals.
 
     The family is infinite (one generator per index k); ``count`` records the
     materialization depth used when the description was built and serves as
-    the default enumeration depth downstream.
+    the default enumeration depth downstream.  Distinct generators carry
+    powers of distinct primes in their denominators, so every generator is
+    an atom, and the atoms enter every neighborhood of zero.
     """
 
     count: int
     seed: str = sequences.DEFAULT_SEED
+    variant = "dense_atoms"
+    conductor_row = "R5"
+    conductor_reason = "dense non-increasing family: neither the tail nor the empty criterion applies"
+    atom_row = "distinct-prime-powers"
 
     def __post_init__(self):
         if not isinstance(self.count, int) or isinstance(self.count, bool) or self.count < 1:
             raise ValueError(f"count must be an integer >= 1, got {self.count!r}")
-        if self.seed not in sequences.SEED_SEQUENCES:
+        if not isinstance(self.seed, str) or self.seed not in sequences.SEED_SEQUENCES:
             raise ValueError(
                 f"unknown seed {self.seed!r}; available: {sorted(sequences.SEED_SEQUENCES)}"
             )
 
+    def stream(self, count: int) -> tuple[Fraction, ...]:
+        return tuple(e.atom for e in sequences.dense_atom_entries(count, self.seed))
 
-MonoidSpec = Union[
-    FiniteGenerators,
-    Geometric,
-    UnitFractionPowers,
-    IncreasingSequence,
-    PrimeReciprocalShift,
-    CantorShift,
-    DenseAtoms,
-]
+    def group(self) -> GroupDescription:
+        unit = _numerator_gcd(e.atom for e in sequences.dense_atom_entries(512, self.seed))
+        if unit is None:
+            return _UNSCANNED
+        return LocalizedScaled(unit=unit, indexed_rule="dense_atoms", default_exponent=0)
+
+    def dense_witness(self) -> tuple[tuple[Fraction, ...], str]:
+        sample: list[Fraction] = []
+        for entry in sequences.dense_atom_entries(2048, self.seed):
+            if not sample or entry.atom < sample[-1]:
+                sample.append(entry.atom)
+            if len(sample) >= 8:
+                break
+        return tuple(sample), (
+            "atoms track a dense enumeration of the positive rationals within 1/k, "
+            "so they enter every neighborhood of zero"
+        )
+
+
+MonoidSpec = Family
+
+# Wire-format names: every catalog family is a direct subclass of Family.
+_VARIANTS = {cls.variant: cls for cls in Family.__subclasses__()}
+_TAIL_FORMS = {cls.form: cls for cls in (AffineTail, HarmonicTail, PrimeHarmonicTail)}
+
+
+def as_family(spec: object) -> Family:
+    """``spec`` itself when it is a catalog description; TypeError otherwise."""
+    if not isinstance(spec, Family):
+        raise TypeError(f"not a monoid description: {spec!r}")
+    return spec
+
+
+# ---------------------------------------------------------------------------
+# Difference groups from the declared denominators
+
+_UNSCANNED = UnknownGroup("numerator gcd undetermined within the scan horizon")
+
+
+def _cyclic(values: Iterable[Fraction]) -> CyclicScaled:
+    """The group spanned by finitely many rationals: gcd / lcm times Z."""
+    values = tuple(values)
+    den = math.lcm(*(v.denominator for v in values))
+    return CyclicScaled(Fraction(math.gcd(*(int(v * den) for v in values)), den))
+
+
+def _localized_at(n: int) -> LocalizedScaled:
+    """Z localized at the primes of n: every power of them may divide a denominator."""
+    overrides = tuple((p, INFINITE) for p in sequences.factorize(n))
+    return LocalizedScaled(unit=1, overrides=overrides, default_exponent=0)
+
+
+def _numerator_gcd(generators: Iterable[Fraction]) -> int | None:
+    """gcd of all element numerators, exact when the scanned generators reach 1."""
+    g = 0
+    for v in generators:
+        g = math.gcd(g, v.numerator)
+        if g == 1:
+            return 1
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -392,13 +767,7 @@ def cantor_generators(depth: int) -> tuple[Fraction, ...]:
 
 def generator_count(spec: MonoidSpec) -> int | None:
     """Number of generators in the family's canonical stream; None if infinite."""
-    if isinstance(spec, FiniteGenerators):
-        return len(spec.generators)
-    if isinstance(spec, CantorShift):
-        return 2 ** (spec.depth + 1)
-    if isinstance(spec, PrimeReciprocalShift) and spec.prime_bound is not None:
-        return 1 + len(sequences.primes_upto(spec.prime_bound))
-    return None
+    return as_family(spec).size
 
 
 def generator_stream(spec: MonoidSpec, count: int) -> tuple[Fraction, ...]:
@@ -409,49 +778,12 @@ def generator_stream(spec: MonoidSpec, count: int) -> tuple[Fraction, ...]:
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    if isinstance(spec, FiniteGenerators):
-        return spec.generators[:count]
-    if isinstance(spec, Geometric):
-        return tuple(spec.ratio**n for n in range(count))
-    if isinstance(spec, UnitFractionPowers):
-        return tuple(Fraction(1, spec.base**n) for n in range(1, count + 1))
-    if isinstance(spec, IncreasingSequence):
-        return tuple(spec.term(k) for k in range(1, count + 1))
-    if isinstance(spec, PrimeReciprocalShift):
-        total = generator_count(spec)
-        if total is not None:
-            count = min(count, total)
-        out = [Fraction(1)]
-        k = 1
-        while len(out) < count:
-            out.append(1 + Fraction(1, sequences.nth_prime(k)))
-            k += 1
-        return tuple(out)
-    if isinstance(spec, CantorShift):
-        return cantor_generators(spec.depth)[:count]
-    if isinstance(spec, DenseAtoms):
-        return tuple(e.atom for e in sequences.dense_atom_entries(count, spec.seed))
-    raise TypeError(f"not a monoid description: {spec!r}")
+    return as_family(spec).stream(count)
 
 
 def is_finitely_generated(spec: MonoidSpec) -> bool:
-    """Whether the described monoid is finitely generated.
-
-    Geometric ratios > 1 with denominator 1 collapse to the nonnegative
-    integers; affine increasing tails have bounded denominators, so a scaled
-    copy sits inside the nonnegative integers and is finitely generated.
-    Everything else in the catalog with an infinite stream has unbounded
-    denominators and is not.
-    """
-    if isinstance(spec, (FiniteGenerators, CantorShift)):
-        return True
-    if isinstance(spec, PrimeReciprocalShift):
-        return spec.prime_bound is not None
-    if isinstance(spec, Geometric):
-        return spec.ratio.denominator == 1
-    if isinstance(spec, IncreasingSequence):
-        return isinstance(spec.tail, AffineTail)
-    return False
+    """Whether the described monoid is finitely generated."""
+    return as_family(spec).finitely_generated
 
 
 def omitted_generators_exceed(spec: MonoidSpec, depth: int, bound: Fraction) -> bool:
@@ -465,16 +797,10 @@ def omitted_generators_exceed(spec: MonoidSpec, depth: int, bound: Fraction) -> 
     total = generator_count(spec)
     if total is not None and depth >= total:
         return True
-    if isinstance(spec, (FiniteGenerators, CantorShift)):
-        return generator_stream(spec, depth + 1)[depth] > bound  # streams sorted ascending
-    if isinstance(spec, Geometric):
-        return spec.ratio > 1 and spec.ratio**depth > bound
-    if isinstance(spec, IncreasingSequence):
-        return spec.term(depth + 1) > bound
-    if isinstance(spec, PrimeReciprocalShift):
-        return bound < 1 or (depth >= 1 and bound == 1)  # omitted generators all exceed 1
-    # UnitFractionPowers and DenseAtoms have arbitrarily small later generators.
-    return False
+    if spec.ascends:
+        return spec.term(depth + 1) > bound  # the omitted generators start at the next one
+    floor = spec.floor  # the first generator; every later one exceeds it
+    return floor is not None and (bound < floor or (depth >= 1 and bound == floor))
 
 
 def depth_for_complete(spec: MonoidSpec, bound: Fraction, cap: int = 100_000) -> int | None:
@@ -486,27 +812,16 @@ def depth_for_complete(spec: MonoidSpec, bound: Fraction, cap: int = 100_000) ->
     total = generator_count(spec)
     if total is not None:
         return total
-    if isinstance(spec, Geometric):
-        if spec.ratio < 1:
-            return None
-        d = 1
-        while spec.ratio**d <= bound:
-            d += 1
-            if d > cap:
-                raise BudgetError("depth search exceeded cap", cap=cap)
-        return d
-    if isinstance(spec, IncreasingSequence):
-        if spec.bounded and spec.limit is not None and spec.limit <= bound:
-            return None
-        k = 1
-        while spec.term(k) <= bound:
-            k += 1
-            if k > cap:
-                raise BudgetError("depth search exceeded cap", cap=cap)
-        return k - 1 if k > 1 else 1
-    if isinstance(spec, PrimeReciprocalShift):
-        return 1 if bound <= 1 else None
-    return None
+    if not spec.ascends:
+        return 1 if spec.floor is not None and bound <= spec.floor else None
+    if spec.limit is not None and spec.limit <= bound:
+        return None  # infinitely many generators below the bound
+    k = 1
+    while spec.term(k) <= bound:
+        k += 1
+        if k > cap:
+            raise BudgetError("depth search exceeded cap", cap=cap)
+    return max(k - 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -660,10 +975,6 @@ def prime_reciprocal_solutions(
     return solutions
 
 
-def _localized_member(x: Fraction, allowed_primes: set[int]) -> bool:
-    return set(sequences.factorize(x.denominator)) <= allowed_primes
-
-
 def spec_member(
     spec: MonoidSpec,
     x: RationalLike,
@@ -672,77 +983,22 @@ def spec_member(
 ) -> MembershipResult:
     """Decide whether x belongs to the described monoid.
 
-    Exact for families with decidable structure (unit-fraction powers,
-    prime-reciprocal shifts), for every finitely generated family, and for
-    ascending streams whose generators below x form a finite set.  A
-    finitely generated family is decided and certified by the residue table
-    of its canonical form, with no search, so ``budget`` does not apply
-    (UNKNOWN when that form is out of reach).  Families with infinitely
-    many generators below x return IN with a certificate when one is found
-    within budget and UNKNOWN otherwise, never a guess.
+    Exact for families with a procedure of their own (``Family.decide``),
+    for every finitely generated family, and for ascending streams whose
+    generators below x form a finite set.  A finitely generated family is
+    decided and certified by the residue table of its canonical form, with
+    no search, so ``budget`` does not apply (UNKNOWN when that form is out
+    of reach).  Otherwise IN comes with a certificate found within budget,
+    OUT only from the difference group of a family whose generators
+    approach zero, and UNKNOWN is never a guess.
     """
+    spec = as_family(spec).simplest()
     q = require_nonnegative(x, what="element")
     if q == 0:
         return _IN0
-
-    if isinstance(spec, UnitFractionPowers):
-        if _localized_member(q, set(sequences.factorize(spec.base))):
-            # q = a / d with d | base**n: a copies of 1/base**n certify membership.
-            n = 1
-            while (q * spec.base**n).denominator != 1:
-                n += 1
-            return MembershipResult(
-                Membership.IN, certificate=((Fraction(1, spec.base**n), int(q * spec.base**n)),)
-            )
-        return MembershipResult(Membership.OUT)
-
-    if isinstance(spec, Geometric) and spec.ratio < 1:
-        if spec.ratio.numerator == 1:
-            # Same monoid as UnitFractionPowers(denominator): 1 = d * (1/d).
-            return spec_member(UnitFractionPowers(spec.ratio.denominator), q, budget, depth)
-        if not _localized_member(q, set(sequences.factorize(spec.ratio.denominator))):
-            return MembershipResult(Membership.OUT)
-        gens = generator_stream(spec, depth)
-        found, cert = _bounded_member(gens, q, budget)
-        if found:
-            return MembershipResult(Membership.IN, certificate=cert)
-        return MembershipResult(
-            Membership.UNKNOWN,
-            reason={"kind": "generator_truncation", "depth": depth, "node_budget": budget},
-        )
-
-    if isinstance(spec, PrimeReciprocalShift):
-        if q < 1:
-            return MembershipResult(Membership.OUT)  # every nonzero element is >= 1
-        try:
-            sols = prime_reciprocal_solutions(q, spec.prime_bound, budget, first_only=True)
-        except BudgetError:
-            return MembershipResult(
-                Membership.UNKNOWN, reason={"kind": "node_budget", "node_budget": budget}
-            )
-        if not sols:
-            return MembershipResult(Membership.OUT)
-        ones, primes = sols[0]
-        cert: list[tuple[Fraction, int]] = []
-        if ones:
-            cert.append((Fraction(1), ones))
-        for p in sorted(set(primes), reverse=True):
-            cert.append((1 + Fraction(1, p), primes.count(p)))
-        return MembershipResult(Membership.IN, certificate=tuple(cert))
-
-    if isinstance(spec, DenseAtoms):
-        for p, e in sequences.factorize(q.denominator).items():
-            if e > sequences.dense_atom_exponent_cap(p):
-                return MembershipResult(Membership.OUT)  # outside the difference group
-        entries = sequences.dense_atom_entries(max(spec.count, depth), spec.seed)
-        gens = [e.atom for e in entries[:depth] if e.atom <= q]
-        found, cert = _bounded_member(gens, q, budget)
-        if found:
-            return MembershipResult(Membership.IN, certificate=cert)
-        return MembershipResult(
-            Membership.UNKNOWN,
-            reason={"kind": "generator_truncation", "depth": depth, "node_budget": budget},
-        )
+    decided = spec.decide(q, budget)
+    if decided is not None:
+        return decided
 
     try:
         cf = canonical_fg(spec)
@@ -759,30 +1015,27 @@ def spec_member(
             Membership.IN, certificate=tuple((cf.scale * a, c) for a, c in parts)
         )
 
-    if isinstance(spec, (IncreasingSequence, Geometric)):
-        # Increasing streams: only generators <= x can appear in a sum.
-        finite_depth = depth_for_complete(spec, q)
-        if finite_depth is not None:
-            gens = [g for g in generator_stream(spec, finite_depth) if g <= q]
-            found, cert = _bounded_member(gens, q, budget)
-            if found is None:
-                return MembershipResult(
-                    Membership.UNKNOWN, reason={"kind": "node_budget", "node_budget": budget}
-                )
-            if found:
-                return MembershipResult(Membership.IN, certificate=cert)
+    # The rest search: every generator <= x of an ascending stream below its
+    # limit, else the first ``depth`` of infinitely many usable ones.
+    finite_depth = depth_for_complete(spec, q)
+    if finite_depth is None and not spec.ascends:
+        group = spec.group()  # generators approach zero: only the group rules x out
+        if group.known and not group.member(q):
             return MembershipResult(Membership.OUT)
-        # Bounded sequence with limit <= x: infinitely many usable generators.
-        gens = [g for g in generator_stream(spec, depth) if g <= q]
-        found, cert = _bounded_member(gens, q, budget)
-        if found:
-            return MembershipResult(Membership.IN, certificate=cert)
+    gens = [g for g in generator_stream(spec, finite_depth or depth) if g <= q]
+    found, cert = _bounded_member(gens, q, budget)
+    if found:
+        return MembershipResult(Membership.IN, certificate=cert)
+    if finite_depth is None:
         return MembershipResult(
             Membership.UNKNOWN,
             reason={"kind": "generator_truncation", "depth": depth, "node_budget": budget},
         )
-
-    raise TypeError(f"not a monoid description: {spec!r}")
+    if found is None:
+        return MembershipResult(
+            Membership.UNKNOWN, reason={"kind": "node_budget", "node_budget": budget}
+        )
+    return MembershipResult(Membership.OUT)
 
 
 def canonical_fg(spec: MonoidSpec) -> CanonicalFG | None:
@@ -794,14 +1047,8 @@ def canonical_fg(spec: MonoidSpec) -> CanonicalFG | None:
     out of reach (for example prime-reciprocal truncations, whose
     denominator lcm is a primorial).
     """
-    if not is_finitely_generated(spec):
-        return None
-    total = generator_count(spec)
-    if total is not None:
-        return canonicalize(generator_stream(spec, total))
-    if isinstance(spec, IncreasingSequence):
-        return _affine_reduction(spec)[1]
-    return canonicalize(generator_stream(spec, 1))  # integer ratio: 1 generates all of N0
+    spec = as_family(spec)
+    return spec.canonical() if spec.finitely_generated else None
 
 
 def affine_finite_generators(spec: IncreasingSequence, cap: int = 4096) -> tuple[Fraction, ...]:
@@ -821,7 +1068,7 @@ def _affine_reduction(spec: IncreasingSequence, cap: int = 4096) -> tuple[tuple[
     # The terms of ``affine_finite_generators`` and the canonical form built
     # from the numerical monoid of the last doubling step.  The terms hold
     # two consecutive tail terms, so their denominator lcm is ``den``.
-    if not isinstance(spec.tail, AffineTail):
+    if not spec.tail.finitely_generated:
         raise ValueError("only affine tails reduce to a finite generator list")
     den = _denominator_lcm((spec.tail.offset, spec.tail.slope, *spec.prefix))
     slope_scaled = int(spec.tail.slope * den)
@@ -844,35 +1091,6 @@ def _affine_reduction(spec: IncreasingSequence, cap: int = 4096) -> tuple[tuple[
 # JSON wire format
 
 
-def _tail_to_dict(tail: Tail) -> dict:
-    if isinstance(tail, AffineTail):
-        return {
-            "form": "affine",
-            "offset": format_rational(tail.offset),
-            "slope": format_rational(tail.slope),
-        }
-    form = "harmonic" if isinstance(tail, HarmonicTail) else "prime_harmonic"
-    return {
-        "form": form,
-        "limit": format_rational(tail.limit),
-        "coeff": format_rational(tail.coeff),
-    }
-
-
-def _tail_from_dict(obj: dict) -> Tail:
-    form = obj.get("form")
-    if form == "affine":
-        _require_keys(obj, {"form", "offset", "slope"}, "tail")
-        return AffineTail(_rat(obj, "offset", signed=True), _rat(obj, "slope"))
-    if form == "harmonic":
-        _require_keys(obj, {"form", "limit", "coeff"}, "tail")
-        return HarmonicTail(_rat(obj, "limit"), _rat(obj, "coeff"))
-    if form == "prime_harmonic":
-        _require_keys(obj, {"form", "limit", "coeff"}, "tail")
-        return PrimeHarmonicTail(_rat(obj, "limit"), _rat(obj, "coeff"))
-    raise ValueError(f"unknown tail form {form!r}")
-
-
 def _require_keys(obj: dict, keys: set[str], what: str) -> None:
     extra = set(obj) - keys
     if extra:
@@ -889,73 +1107,33 @@ def _rat(obj: dict, key: str, signed: bool = False) -> Fraction:
     return parse_rational(v, signed=signed)
 
 
+def _rats(obj: dict, key: str) -> list[Fraction]:
+    v = obj[key]
+    if not isinstance(v, list) or not all(isinstance(t, str) for t in v):
+        raise ValueError(f"{key} must be a list of rational strings")
+    return [parse_rational(t) for t in v]
+
+
+def _from_table(obj: dict, table: dict, kind: str, tag: str):
+    # The class a wire tag names, checked for exactly its fields, parsed by it.
+    if not isinstance(obj, dict):
+        raise ValueError(f"{kind} must be a JSON object, got {type(obj).__name__}")
+    name = obj.get(tag)
+    cls = table.get(name) if isinstance(name, str) else None
+    if cls is None:
+        raise ValueError(f"unknown {kind} {tag} {name!r}")
+    _require_keys(obj, {tag, *(f.name for f in fields(cls))}, kind)
+    return cls.from_wire(obj)
+
+
 def spec_to_dict(spec: MonoidSpec) -> dict:
     """Plain-JSON form; all rationals as canonical strings."""
-    if isinstance(spec, FiniteGenerators):
-        return {"variant": "finite", "generators": [format_rational(g) for g in spec.generators]}
-    if isinstance(spec, Geometric):
-        return {"variant": "geometric", "ratio": format_rational(spec.ratio)}
-    if isinstance(spec, UnitFractionPowers):
-        return {"variant": "unit_fraction_powers", "base": spec.base}
-    if isinstance(spec, IncreasingSequence):
-        return {
-            "variant": "increasing",
-            "prefix": [format_rational(t) for t in spec.prefix],
-            "tail": _tail_to_dict(spec.tail),
-            "bounded": spec.bounded,
-            "limit": None if spec.limit is None else format_rational(spec.limit),
-        }
-    if isinstance(spec, PrimeReciprocalShift):
-        return {
-            "variant": "prime_reciprocal_shift",
-            "prime_bound": "all" if spec.prime_bound is None else spec.prime_bound,
-        }
-    if isinstance(spec, CantorShift):
-        return {"variant": "cantor_shift", "depth": spec.depth}
-    if isinstance(spec, DenseAtoms):
-        return {"variant": "dense_atoms", "count": spec.count, "seed": spec.seed}
-    raise TypeError(f"not a monoid description: {spec!r}")
+    spec = as_family(spec)
+    return {"variant": spec.variant, **spec.wire()}
 
 
 def spec_from_dict(obj: dict) -> MonoidSpec:
-    if not isinstance(obj, dict):
-        raise ValueError(f"spec must be a JSON object, got {type(obj).__name__}")
-    variant = obj.get("variant")
-    if variant == "finite":
-        _require_keys(obj, {"variant", "generators"}, "spec")
-        gens = obj["generators"]
-        if not isinstance(gens, list):
-            raise ValueError("generators must be a list of rational strings")
-        return FiniteGenerators(parse_rational(g) for g in gens)
-    if variant == "geometric":
-        _require_keys(obj, {"variant", "ratio"}, "spec")
-        return Geometric(_rat(obj, "ratio"))
-    if variant == "unit_fraction_powers":
-        _require_keys(obj, {"variant", "base"}, "spec")
-        return UnitFractionPowers(obj["base"])
-    if variant == "increasing":
-        _require_keys(obj, {"variant", "prefix", "tail", "bounded", "limit"}, "spec")
-        prefix = obj["prefix"]
-        if not isinstance(prefix, list):
-            raise ValueError("prefix must be a list of rational strings")
-        limit = obj["limit"]
-        return IncreasingSequence(
-            tail=_tail_from_dict(obj["tail"]),
-            prefix=[parse_rational(t) for t in prefix],
-            bounded=obj["bounded"],
-            limit=None if limit is None else parse_rational(limit),
-        )
-    if variant == "prime_reciprocal_shift":
-        _require_keys(obj, {"variant", "prime_bound"}, "spec")
-        bound = obj["prime_bound"]
-        return PrimeReciprocalShift(None if bound == "all" else bound)
-    if variant == "cantor_shift":
-        _require_keys(obj, {"variant", "depth"}, "spec")
-        return CantorShift(obj["depth"])
-    if variant == "dense_atoms":
-        _require_keys(obj, {"variant", "count", "seed"}, "spec")
-        return DenseAtoms(obj["count"], obj["seed"])
-    raise ValueError(f"unknown spec variant {variant!r}")
+    return _from_table(obj, _VARIANTS, "spec", "variant")
 
 
 def dumps_spec(spec: MonoidSpec) -> str:

@@ -114,6 +114,10 @@ def lattice_enumeration(
     return LatticeEnumeration(mask=mask, denominator=den, truncation=trunc, complete=complete)
 
 
+def _over_cap(elements: int, cap: int, truncation: Truncation) -> BudgetError:
+    return BudgetError("enumeration exceeds element cap", elements=elements, cap=cap, truncation=truncation)
+
+
 def enumerate_monoid(
     spec: MonoidSpec,
     bound: RationalLike,
@@ -123,38 +127,36 @@ def enumerate_monoid(
     """All sums of the first ``depth`` generators that stay within the bound.
 
     Coefficients are implicitly bounded by floor(bound / generator).  Raises
-    BudgetError past ``element_cap`` so runaway enumerations fail loudly with
-    the truncation they attempted.
+    BudgetError as soon as the element count passes ``element_cap``, inside
+    a generator's sweep, so runaway enumerations fail loudly, in bounded
+    time, with the truncation they attempted.
     """
     t = require_positive(bound, what="bound")
     lattice = lattice_enumeration(spec, t, depth)
     if lattice is not None:
         if lattice.count > element_cap:
-            raise BudgetError(
-                "enumeration exceeds element cap",
-                elements=lattice.count,
-                cap=element_cap,
-                truncation=lattice.truncation,
-            )
+            raise _over_cap(lattice.count, element_cap, lattice.truncation)
         return Enumeration(lattice.elements(), lattice.truncation, lattice.complete)
 
     gens, trunc, complete = _truncated_generators(spec, t, depth)
     elements = {Fraction(0)}
     for g in gens:
-        additions = []
+        # This sweep's sums: known elements go in too (one hash per sum) until the
+        # count nears the cap, then stay out, so the count that passes the cap is exact.
+        sums: set[Fraction] = set()
+        near_cap = False
         for e in elements:
             v = e + g
             while v <= t:
-                additions.append(v)
+                if not (near_cap and v in elements):
+                    sums.add(v)
+                    if len(elements) + len(sums) > element_cap:
+                        sums -= elements
+                        near_cap = True
+                        if len(elements) + len(sums) > element_cap:
+                            raise _over_cap(len(elements) + len(sums), element_cap, trunc)
                 v += g
-        elements.update(additions)
-        if len(elements) > element_cap:
-            raise BudgetError(
-                "enumeration exceeds element cap",
-                elements=len(elements),
-                cap=element_cap,
-                truncation=trunc,
-            )
+        elements |= sums
     return Enumeration(tuple(sorted(elements)), trunc, complete)
 
 

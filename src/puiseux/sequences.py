@@ -8,7 +8,6 @@ Everything is deterministic and exact.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -20,7 +19,6 @@ __all__ = [
     "SEED_SEQUENCES",
     "calkin_wilf",
     "dense_atom_entries",
-    "dense_atom_numerator_gcd",
     "factorize",
     "is_prime",
     "iter_primes",
@@ -220,17 +218,3 @@ def dense_atom_exponent_cap(p: int) -> int:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     return 2 if p <= 7 else 1
-
-
-def dense_atom_numerator_gcd(seed: str, scan: int = 512) -> int | None:
-    """gcd of the construction numerators, scanned until it reaches 1.
-
-    Returns 1 as soon as the running gcd hits 1 (then the value is exact for
-    the whole infinite family); None if the scan horizon is reached first.
-    """
-    g = 0
-    for entry in dense_atom_entries(scan, seed):
-        g = math.gcd(g, entry.numerator)
-        if g == 1:
-            return 1
-    return None

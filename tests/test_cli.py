@@ -143,6 +143,9 @@ def test_input_errors_exit_1(capsys, tmp_path):
     worse = tmp_path / "worse.json"
     worse.write_text('{"variant": "finite", "generators": ["+1/2"]}')
     assert main(["classify", str(worse)]) == 1
+    # a tail that is not an object is bad input, not an internal error (exit 3)
+    worse.write_text('{"variant": "increasing", "prefix": [], "tail": 5, "bounded": false, "limit": null}')
+    assert main(["classify", str(worse)]) == 1
 
 
 def test_text_and_json_same_facts(capsys, spec_file):

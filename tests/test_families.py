@@ -295,6 +295,20 @@ def test_loads_spec_error_positions():
         loads_spec('{"variant": "geometric", "ratio": "2/3", "extra": 1}')
     with pytest.raises(ValueError):
         loads_spec('{"variant": "finite", "generators": ["1/2", "+1/3"]}')
+    with pytest.raises(ValueError, match="unknown spec variant"):
+        loads_spec('{"variant": ["finite"]}')
+    with pytest.raises(ValueError, match="tail must be a JSON object"):
+        loads_spec('{"variant": "increasing", "prefix": [], "tail": 5, "bounded": false, "limit": null}')
+    # JSON values of the wrong type are input errors too, not TypeErrors
+    with pytest.raises(ValueError, match="generators must be a list of rational strings"):
+        loads_spec('{"variant": "finite", "generators": [1]}')
+    with pytest.raises(ValueError, match="'limit' must be a rational string"):
+        loads_spec(
+            '{"variant": "increasing", "prefix": [], "bounded": false, "limit": 5,'
+            ' "tail": {"form": "affine", "offset": "1", "slope": "1"}}'
+        )
+    with pytest.raises(ValueError, match="unknown seed"):
+        loads_spec('{"variant": "dense_atoms", "count": 3, "seed": [1]}')
 
 
 @given(
@@ -359,3 +373,46 @@ def test_dense_atoms_membership_paths():
         assert spec_member(spec, x).status == Membership.IN, x
     assert spec_member(spec, F(1, 8)).status == Membership.OUT  # 2^3 beyond its cap
     assert spec_member(spec, F(1, 121)).status == Membership.OUT  # 11^2 beyond its cap
+
+
+def _public_entry_points():
+    from puiseux import families
+    from puiseux.closures import conductor, difference_group, fg_lattice_step, gp_density, root_closure
+    from puiseux.density import classify_density, eventual_window_check, probe_density, right_isolation
+    from puiseux.factorizations import atoms, factorizations, length_set
+    from puiseux.oracle import enumerate_monoid, lattice_enumeration
+
+    return {
+        "generator_count": families.generator_count,
+        "generator_stream": lambda s: families.generator_stream(s, 3),
+        "is_finitely_generated": families.is_finitely_generated,
+        "canonical_fg": families.canonical_fg,
+        "omitted_generators_exceed": lambda s: families.omitted_generators_exceed(s, 1, 1),
+        "depth_for_complete": lambda s: families.depth_for_complete(s, 1),
+        "spec_member": lambda s: families.spec_member(s, 1),
+        "spec_to_dict": families.spec_to_dict,
+        "dumps_spec": families.dumps_spec,
+        "difference_group": difference_group,
+        "root_closure": root_closure,
+        "fg_lattice_step": fg_lattice_step,
+        "gp_density": gp_density,
+        "conductor": conductor,
+        "classify_density": classify_density,
+        "probe_density": lambda s: probe_density(s, 0, 1, F(1, 2)),
+        "eventual_window_check": lambda s: eventual_window_check(s, 1, 2, 2, F(1, 2)),
+        "right_isolation": lambda s: right_isolation(s, 1),
+        "atoms": atoms,
+        "factorizations": lambda s: factorizations(s, 1),
+        "length_set": lambda s: length_set(s, 1),
+        "enumerate_monoid": lambda s: enumerate_monoid(s, 1, 2),
+        "lattice_enumeration": lambda s: lattice_enumeration(s, 1, 2),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_public_entry_points()))
+def test_non_spec_raises_type_error(entry):
+    # a tail law, a string and None are not monoid descriptions
+    call = _public_entry_points()[entry]
+    for not_a_spec in ("x", None, HarmonicTail(2, 1)):
+        with pytest.raises(TypeError, match="not a monoid description"):
+            call(not_a_spec)

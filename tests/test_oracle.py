@@ -6,6 +6,7 @@ import pytest
 from puiseux.errors import BudgetError
 from puiseux.families import (
     CantorShift,
+    DenseAtoms,
     FiniteGenerators,
     Geometric,
     HarmonicTail,
@@ -109,6 +110,20 @@ def test_naive_factorizations():
 def test_element_cap():
     with pytest.raises(BudgetError):
         enumerate_monoid(UnitFractionPowers(2), 100, 14, element_cap=1000)
+
+
+def test_element_cap_checked_inside_the_sweep():
+    # the set route (the lattice would need over 50M bits) stops at the first element past the cap
+    assert lattice_enumeration(DenseAtoms(200), 5, 30) is None
+    with pytest.raises(BudgetError) as info:
+        enumerate_monoid(DenseAtoms(200), 5, 30, element_cap=1000)
+    assert info.value.detail["elements"] == 1001 and info.value.detail["cap"] == 1000
+    full = enumerate_monoid(DenseAtoms(20), 2, 8)
+    n = len(full.elements)
+    assert enumerate_monoid(DenseAtoms(20), 2, 8, element_cap=n) == full
+    with pytest.raises(BudgetError) as info:
+        enumerate_monoid(DenseAtoms(20), 2, 8, element_cap=n - 1)
+    assert info.value.detail["elements"] == n
 
 
 def test_prime_reciprocal_slow_path():
