@@ -73,11 +73,6 @@ from .families import (
     spec_member,
 )
 from .numerical import NumericalMonoid, reachable_bitmask
-from .rationals import (
-    RatSetSummary,
-    format_rational,
-    parse_rational,
-    summarize,
-)
+from .rationals import format_rational, parse_rational
 
 __version__ = "0.1.0"

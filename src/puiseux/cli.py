@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 from fractions import Fraction
 from typing import Any
@@ -25,6 +24,7 @@ from typing import Any
 from .closures import ConductorKind, UnknownGroup, conductor, difference_group, gp_density, root_closure
 from .constructions import build_cantor_shift, build_dense_atoms, build_increasing
 from .density import (
+    DEFAULT_PROBE_DEPTH,
     DensityClass,
     ProbeResult,
     classify_density,
@@ -261,9 +261,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("spec", help="path to a spec JSON file, or - for stdin")
         p.add_argument("--output", choices=["text", "json"], default="text")
         if with_budget:
-            # default None: main reads PUISEUX_BUDGET on every call
             p.add_argument(
-                "--budget", type=int, help=f"search node budget (default: $PUISEUX_BUDGET or {DEFAULT_NODE_BUDGET})"
+                "--budget", type=int, default=DEFAULT_NODE_BUDGET, help="search node budget (default: %(default)s)"
             )
 
     p = sub.add_parser("classify", help="density classification with rule citation")
@@ -311,7 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p, with_budget=False)
     p.add_argument("--interval", nargs=2, metavar=("LO", "HI"), required=True)
     p.add_argument("--eps", required=True, help='resolution, e.g. "1/1000"')
-    p.add_argument("--depth", type=int, default=24, help="generator truncation depth")
+    p.add_argument("--depth", type=int, default=DEFAULT_PROBE_DEPTH, help="generator truncation depth")
     p.set_defaults(func=_cmd_probe)
 
     p = sub.add_parser("isolate", help="right-isolation radii of elements up to a bound")
@@ -350,8 +349,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if getattr(args, "budget", 0) is None:
-            args.budget = int(os.environ.get("PUISEUX_BUDGET", DEFAULT_NODE_BUDGET))
         payload, code = args.func(args)
         if payload:
             _emit(payload, getattr(args, "output", "text"))

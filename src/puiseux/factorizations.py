@@ -2,9 +2,11 @@
 
 An atom is a nonzero element with no split into two nonzero elements.  A
 factorization of x is a multiset of atoms summing to x; its length is the
-number of parts counted with multiplicity.  Enumeration orders atoms
-descending and bounds each multiplicity by floor(remaining / atom), which
-gives canonical output order and tight pruning without heuristics.
+number of parts counted with multiplicity.  Membership, the atom filter
+and factorizations all walk one search, ``families._combinations``: atoms
+descending, each multiplicity from floor(remaining / atom) down, with a
+denominator prune and a memo of dead states.  Factorizations of a finitely
+generated family walk the integer minimal generators of its canonical form.
 
 Atomicity verdicts follow the family table.  A family's declared
 ``atom_row`` comes first:
@@ -34,7 +36,7 @@ from .errors import BudgetError
 from .families import (
     DEFAULT_NODE_BUDGET,
     MonoidSpec,
-    _bounded_member,
+    _combinations,
     as_family,
     canonical_fg,
     depth_for_complete,
@@ -55,6 +57,8 @@ __all__ = [
 ]
 
 DEFAULT_ATOM_LIMIT = 64
+_ATOM_DEPTH_CAP = 64  # generators scanned when infinitely many lie at or below x
+_BUDGET_NOTE = "node budget exhausted"
 
 
 class AtomicityKind(str, Enum):
@@ -145,10 +149,7 @@ def _increasing_filter(
 ) -> list[Fraction]:
     kept: list[Fraction] = []
     for g in stream:
-        found, _ = _bounded_member(kept, g, budget)
-        if found is None:
-            raise BudgetError("atom filter exceeded node budget", node_budget=budget)
-        if not found:
+        if next(_combinations(kept, g, budget), None) is None:
             kept.append(g)
     return kept
 
@@ -186,59 +187,6 @@ def atoms(
     return AtomicityVerdict(AtomicityKind.ATOMIC, tuple(shown), truncated=True, rule=_RULE_INCREASING)
 
 
-def _atoms_below(
-    spec: MonoidSpec, x: Fraction, budget: int, depth_cap: int = 64
-) -> tuple[list[Fraction], bool]:
-    """Atoms of the monoid that are <= x, with a completeness flag."""
-    cf = canonical_fg(spec)
-    if cf is not None:
-        return [a for a in cf.atoms() if a <= x], True
-    depth = depth_for_complete(spec, x)
-    gens = [g for g in generator_stream(spec, depth_cap if depth is None else depth) if g <= x]
-    return _increasing_filter(gens, budget), depth is not None
-
-
-def _enumerate(
-    atoms_desc: list[Fraction], x: Fraction, node_budget: int
-) -> tuple[list[Factorization], bool]:
-    """Complete descending-atom enumeration of multisets summing to x.
-
-    Depth first, low multiplicities first, on an explicit stack so that
-    long atom lists cannot exhaust the interpreter's recursion limit.
-    """
-    found: list[Factorization] = []
-    parts: list[tuple[Fraction, int]] = []
-    frames: list[list] = []  # [i, rem, c]: atoms_desc[i] taken c times leaves rem
-    nodes = 0
-    i, rem = 0, x
-    while True:
-        nodes += 1
-        if nodes > node_budget:
-            return sorted(found, key=lambda f: f.parts), False
-        if rem == 0:
-            found.append(Factorization(tuple(parts)))
-        elif i < len(atoms_desc):
-            frames.append([i, rem, 0])
-            i += 1  # multiplicity 0 first
-            continue
-        # move to the next multiplicity of the innermost open frame
-        while frames:
-            frame = frames[-1]
-            j, rest, c = frame
-            a = atoms_desc[j]
-            if c:
-                parts.pop()
-            rest -= a
-            if rest >= 0:
-                frame[1:] = rest, c + 1
-                parts.append((a, c + 1))
-                i, rem = j + 1, rest
-                break
-            frames.pop()
-        else:
-            return sorted(found, key=lambda f: f.parts), True
-
-
 def factorizations(
     spec: MonoidSpec, x: RationalLike, budget: int = DEFAULT_NODE_BUDGET
 ) -> FactorizationSet:
@@ -264,20 +212,33 @@ def factorizations(
     try:
         own = spec.factorizations(q, budget)  # a family with an exact search of its own
     except BudgetError:
-        return FactorizationSet(q, (), complete=False, note="node budget exhausted")
+        return FactorizationSet(q, (), complete=False, note=_BUDGET_NOTE)
     if own is not None:
         items = sorted(map(Factorization, own), key=lambda f: f.parts)
         return FactorizationSet(q, tuple(items), complete=True)
 
-    below, below_complete = _atoms_below(spec, q, budget)
-    items, exhausted = _enumerate(sorted(below, reverse=True), q, budget)
-    complete = below_complete and exhausted
-    note = None
-    if not below_complete:
-        note = "atom truncation: infinitely many atoms at or below x"
-    elif not exhausted:
-        note = "node budget exhausted"
-    return FactorizationSet(q, tuple(items), complete=complete, note=note)
+    cf = canonical_fg(spec)
+    if cf is not None:
+        # Walk the integer minimal generators of the canonical form towards
+        # x / scale, then scale the parts back.
+        t = q / cf.scale
+        if t.denominator != 1:
+            return FactorizationSet(q, (), complete=True)
+        gens, target, scale, atoms_complete = cf.nm.minimal_generators, t.numerator, cf.scale, True
+    else:
+        depth = depth_for_complete(spec, q)
+        stream = generator_stream(spec, _ATOM_DEPTH_CAP if depth is None else depth)
+        gens = _increasing_filter([g for g in stream if g <= q], budget)
+        target, scale, atoms_complete = q, 1, depth is not None
+    note = None if atoms_complete else "atom truncation: infinitely many atoms at or below x"
+    found = []
+    try:
+        for parts in _combinations(gens, target, budget):
+            found.append(Factorization(tuple((scale * a, c) for a, c in parts)))
+    except BudgetError:
+        note = note or _BUDGET_NOTE  # keep what the walk found
+    items = tuple(sorted(found, key=lambda f: f.parts))
+    return FactorizationSet(q, items, complete=note is None, note=note)
 
 
 def length_set(

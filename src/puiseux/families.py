@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
-from typing import ClassVar, Iterable
+from typing import ClassVar, Iterable, Iterator
 
 from . import sequences
 from .errors import BudgetError
@@ -844,94 +844,63 @@ class MembershipResult:
 _IN0 = MembershipResult(Membership.IN, certificate=())
 
 
-class _NodeBudget(Exception):
-    pass
-
-
-def _bounded_member(
+def _combinations(
     generators: Iterable[Fraction], x: Fraction, node_budget: int
-) -> tuple[bool | None, tuple[tuple[Fraction, int], ...] | None]:
-    """Exact search for x as a nonnegative combination of the generators.
+) -> Iterator[tuple[tuple[Fraction, int], ...]]:
+    """Every way to write x as a nonnegative combination of the generators.
 
-    Returns (True, certificate), (False, None), or (None, None) when the node
-    budget ran out.  Denominator pruning: a partial remainder is only viable
-    if its denominator divides the lcm of the remaining generators'.  The
-    depth-first walk keeps its own stack, so long generator lists cannot
-    exhaust the interpreter's recursion limit.
+    Yields (generator, multiplicity) parts, generators descending, in the
+    order of a depth-first walk that takes the largest multiplicity first;
+    raises BudgetError once the walk has visited ``node_budget`` nodes.
+    Denominator pruning: a partial remainder is only viable if its
+    denominator divides the lcm of the remaining generators'.  A state
+    (index, remainder) whose subtree yielded nothing is remembered as dead.
+    The walk keeps its own stack, so long generator lists cannot exhaust
+    the interpreter's recursion limit, and ``rem // g`` serves ``Fraction``
+    and ``int`` inputs alike.
     """
-    gens = sorted(set(g for g in generators if 0 < g <= x), reverse=True)
     if x == 0:
-        return True, ()
-    if not gens:
-        return False, None
+        yield ()
+        return
+    gens = sorted(set(g for g in generators if 0 < g <= x), reverse=True)
     suffix_lcm = [1] * (len(gens) + 1)
     for i in range(len(gens) - 1, -1, -1):
         suffix_lcm[i] = math.lcm(suffix_lcm[i + 1], gens[i].denominator)
-    failed: set[tuple[int, Fraction]] = set()
-    # [i, rest, c]: gens[i] taken c times leaves rest; largest c first
+    dead: set = set()
+    # [i, rest, c, seen]: gens[i] taken c times leaves rest, largest c first;
+    # seen is the number of combinations yielded when the frame opened
     frames: list[list] = []
-    nodes = 0
+    nodes = found = 0
     i, rem = 0, x
     while True:
         nodes += 1
         if nodes > node_budget:
-            return None, None
+            raise BudgetError("combination search exceeded node budget", node_budget=node_budget)
         if rem == 0:
-            return True, tuple((gens[j], c) for j, _, c in frames if c)
-        if i < len(gens) and (i, rem) not in failed:
+            yield tuple((gens[j], c) for j, _, c, _ in frames if c)
+            found += 1
+        elif i < len(gens) and (i, rem) not in dead:
             if suffix_lcm[i] % rem.denominator == 0:
-                c = int(rem / gens[i])
+                c = rem // gens[i]
                 rest = rem - c * gens[i]
-                frames.append([i, rest, c])
+                frames.append([i, rest, c, found])
                 i, rem = i + 1, rest
                 continue
-            failed.add((i, rem))
-        # the node failed: retry the innermost frame with one copy fewer
+            dead.add((i, rem))
+        # the node is done: retry the innermost frame with one copy fewer
         while frames:
             frame = frames[-1]
-            j, rest, c = frame
+            j, rest, c, seen = frame
             if c > 0:
                 rest += gens[j]
-                frame[1:] = rest, c - 1
+                frame[1:3] = rest, c - 1
                 i, rem = j + 1, rest
                 break
-            failed.add((j, rest))  # with no copy taken, rest is the frame's own remainder
             frames.pop()
+            if seen == found:  # the subtree yielded nothing
+                dead.add((j, rest))  # with no copy taken, rest is the frame's own remainder
         else:
-            return False, None
-
-
-def _prime_fraction_sums(
-    y: Fraction, parts: int, min_prime: int, prime_bound: int | None, budget: list[int]
-) -> Iterable[tuple[int, ...]]:
-    """All multisets of exactly ``parts`` primes >= min_prime with sum of
-    reciprocals equal to y (primes nondecreasing).  The ranges are finite:
-    each prime p satisfies 1/p <= y and p <= parts / y.  A reciprocal sum's
-    denominator divides the product of the distinct primes, so it must be
-    squarefree over primes inside the range."""
-    budget[0] -= 1
-    if budget[0] < 0:
-        raise _NodeBudget
-    if parts == 0:
-        if y == 0:
-            yield ()
-        return
-    if y <= 0:
-        return
-    hi = int(parts / y)
-    if prime_bound is not None:
-        hi = min(hi, prime_bound)
-    for p, e in sequences.factorize(y.denominator).items():
-        # den(y) divides the product of the distinct primes still to be chosen
-        if e > 1 or p < min_prime or (prime_bound is not None and p > prime_bound):
             return
-    lo = max(min_prime, -(-y.denominator // y.numerator))  # 1/p <= y
-    for p in sequences.primes_in_range(lo, hi):
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise _NodeBudget
-        for rest in _prime_fraction_sums(y - Fraction(1, p), parts - 1, p, prime_bound, budget):
-            yield (p,) + rest
 
 
 def prime_reciprocal_solutions(
@@ -948,30 +917,58 @@ def prime_reciprocal_solutions(
     node budget runs out.
     """
     solutions: list[tuple[int, tuple[int, ...]]] = []
-    budget = [node_budget]
+    nodes = 0
+
+    def spend() -> None:
+        nonlocal nodes
+        nodes += 1
+        if nodes > node_budget:
+            raise BudgetError("prime-reciprocal search exceeded node budget", node_budget=node_budget)
+
+    def sums(y: Fraction, parts: int, min_prime: int) -> Iterator[tuple[int, ...]]:
+        # Every multiset of exactly ``parts`` primes >= min_prime, nondecreasing,
+        # whose reciprocals sum to y.  Each prime p has 1/p <= y and p <= parts / y;
+        # a reciprocal sum's denominator divides the product of its distinct
+        # primes, so it must be squarefree over primes inside the range.
+        spend()
+        if parts == 0:
+            if y == 0:
+                yield ()
+            return
+        if y <= 0:
+            return
+        hi = int(parts / y)
+        if prime_bound is not None:
+            hi = min(hi, prime_bound)
+        for p, e in sequences.factorize(y.denominator).items():
+            if e > 1 or p < min_prime or (prime_bound is not None and p > prime_bound):
+                return
+        lo = max(min_prime, -(-y.denominator // y.numerator))  # 1/p <= y
+        for p in sequences.primes_in_range(lo, hi):
+            spend()
+            for rest in sums(y - Fraction(1, p), parts - 1, p):
+                yield (p,) + rest
+
     top = int(x)
-    try:
-        for t in range(top + 1):
-            for ones in range(top - t + 1):
-                y = x - t - ones
-                if y < 0:
-                    break
-                if y > Fraction(t, 2):
-                    continue
-                if t == 0:
-                    if y == 0:
-                        solutions.append((ones, ()))
-                        if first_only:
-                            return solutions
-                    continue
+    for t in range(top + 1):
+        for ones in range(top - t + 1):
+            y = x - t - ones
+            if y < 0:
+                break
+            if y > Fraction(t, 2):
+                continue
+            if t == 0:
                 if y == 0:
-                    continue  # t positive parts cannot sum to zero
-                for primes in _prime_fraction_sums(y, t, 2, prime_bound, budget):
-                    solutions.append((ones, primes))
+                    solutions.append((ones, ()))
                     if first_only:
                         return solutions
-    except _NodeBudget:
-        raise BudgetError("prime-reciprocal search exceeded node budget", nodes=node_budget)
+                continue
+            if y == 0:
+                continue  # t positive parts cannot sum to zero
+            for primes in sums(y, t, 2):
+                solutions.append((ones, primes))
+                if first_only:
+                    return solutions
     return solutions
 
 
@@ -1023,15 +1020,20 @@ def spec_member(
         if group.known and not group.member(q):
             return MembershipResult(Membership.OUT)
     gens = [g for g in generator_stream(spec, finite_depth or depth) if g <= q]
-    found, cert = _bounded_member(gens, q, budget)
-    if found:
-        return MembershipResult(Membership.IN, certificate=cert)
+    try:
+        cert = next(_combinations(gens, q, budget), None)
+    except BudgetError:
+        spent = True
+    else:
+        if cert is not None:
+            return MembershipResult(Membership.IN, certificate=cert)
+        spent = False
     if finite_depth is None:
         return MembershipResult(
             Membership.UNKNOWN,
             reason={"kind": "generator_truncation", "depth": depth, "node_budget": budget},
         )
-    if found is None:
+    if spent:
         return MembershipResult(
             Membership.UNKNOWN, reason={"kind": "node_budget", "node_budget": budget}
         )

@@ -2,8 +2,8 @@
 
 Every quantity entering a monoid computation in this package is a
 ``fractions.Fraction``.  Fractions are kept in lowest terms with a positive
-denominator by construction, which makes the numerator/denominator maps
-below total and unambiguous.  Floating point never appears on an exact
+denominator by construction, which makes ``q.numerator`` and
+``q.denominator`` total and unambiguous.  Floating point never appears on an exact
 path: density and gap arguments collapse under rounding, so user-facing
 values are parsed from strings only.
 
@@ -15,21 +15,17 @@ than by separate runtime types.
 
 from __future__ import annotations
 
-import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Union
 
 __all__ = [
     "Rational",
-    "RatSetSummary",
     "coerce_rational",
     "format_rational",
     "parse_rational",
     "require_nonnegative",
     "require_positive",
-    "summarize",
 ]
 
 Rational = Fraction
@@ -38,28 +34,6 @@ RationalLike = Union[Fraction, int, str]
 # "a" or "a/b": no whitespace, no leading "+", no leading zeros, b >= 1.
 _UNSIGNED = re.compile(r"(?:0|[1-9][0-9]*)(?:/[1-9][0-9]*)?")
 _SIGNED = re.compile(r"-?(?:0|[1-9][0-9]*)(?:/[1-9][0-9]*)?")
-
-
-@dataclass(frozen=True)
-class RatSetSummary:
-    """gcd of numerators, lcm of denominators, and the denominator set."""
-
-    numerator_gcd: int
-    denominator_lcm: int
-    denominators: frozenset[int]
-
-
-def summarize(values: Sequence[Fraction]) -> RatSetSummary:
-    if not values:
-        raise ValueError("cannot summarize an empty collection")
-    for v in values:
-        if v <= 0:
-            raise ValueError(f"summaries are defined for positive rationals, got {v}")
-    return RatSetSummary(
-        numerator_gcd=math.gcd(*(v.numerator for v in values)),
-        denominator_lcm=math.lcm(*(v.denominator for v in values)),
-        denominators=frozenset(v.denominator for v in values),
-    )
 
 
 def parse_rational(text: str, *, signed: bool = False) -> Fraction:

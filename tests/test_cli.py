@@ -159,25 +159,31 @@ def test_text_and_json_same_facts(capsys, spec_file):
             assert value in text
 
 
-def test_budget_env_var(capsys, spec_file, monkeypatch):
-    monkeypatch.setenv("PUISEUX_BUDGET", "100")
+def test_budget_flag(capsys, spec_file):
     path = spec_file(loads_spec('{"variant": "geometric", "ratio": "2/3"}'))
-    code, payload = run_json(capsys, ["member", path, "1/3", "--depth", "6"])
-    assert code == 2  # tiny budget from the environment forces unknown
+    code, payload = run_json(capsys, ["member", path, "1/3", "--depth", "6", "--budget", "100"])
+    assert code == 2  # a tiny budget forces unknown
 
 
-def test_budget_env_var_read_on_every_call(capsys, spec_file, monkeypatch):
-    # the parser is built once per process; the budget default must not be frozen in it
+def test_budget_default_is_not_carried_between_calls(capsys, spec_file, monkeypatch):
+    # the parser is built once per process; one call's --budget must not leak
+    # into the next, and the environment does not set it
     path = spec_file(loads_spec('{"variant": "geometric", "ratio": "2/3"}'))
-    monkeypatch.delenv("PUISEUX_BUDGET", raising=False)
-    main(["classify", path])
-    capsys.readouterr()
     monkeypatch.setenv("PUISEUX_BUDGET", "100")
-    code, payload = run_json(capsys, ["member", path, "1/3", "--depth", "6"])
+    code, payload = run_json(capsys, ["member", path, "1/3", "--depth", "6", "--budget", "100"])
     assert code == 2 and payload["reason"]["node_budget"] == 100
-    monkeypatch.delenv("PUISEUX_BUDGET")
     code, payload = run_json(capsys, ["member", path, "1/3", "--depth", "6"])
     assert payload["reason"]["node_budget"] == DEFAULT_NODE_BUDGET
+
+
+def test_atom_filter_budget_exits_2(capsys, spec_file):
+    path = spec_file(loads_spec(
+        '{"variant": "increasing", "prefix": [], "bounded": true, "limit": "3",'
+        ' "tail": {"form": "harmonic", "limit": "3", "coeff": "1"}}'
+    ))
+    assert main(["atoms", path, "--budget", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("undecided (budget)")
 
 
 def test_internal_error_exit_3(capsys, spec_file, monkeypatch):
@@ -191,9 +197,8 @@ def test_internal_error_exit_3(capsys, spec_file, monkeypatch):
     assert captured.err == "internal error: RuntimeError: table went wrong\n"
 
 
-def test_fg_member_spends_no_budget(capsys, spec_file, monkeypatch):
+def test_fg_member_spends_no_budget(capsys, spec_file):
     # the residue table decides and certifies FG membership: no search nodes
-    monkeypatch.setenv("PUISEUX_BUDGET", "1")
-    code, payload = run_json(capsys, ["member", spec_file(FiniteGenerators([6, 9, 20])), "101"])
+    code, payload = run_json(capsys, ["member", spec_file(FiniteGenerators([6, 9, 20])), "101", "--budget", "1"])
     assert code == 0 and payload["status"] == "in"
     assert sum(Fraction(a) * m for a, m in payload["certificate"]) == 101

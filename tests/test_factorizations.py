@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from puiseux.errors import BudgetError
 from puiseux.factorizations import (
     AtomicityKind,
     Factorization,
@@ -20,6 +21,7 @@ from puiseux.families import (
     IncreasingSequence,
     PrimeReciprocalShift,
     UnitFractionPowers,
+    _combinations,
     canonicalize,
 )
 from puiseux.oracle import enumerate_monoid, naive_atoms, naive_factorization_parts
@@ -197,3 +199,64 @@ def test_bounded_increasing_below_limit_is_complete():
     inc = IncreasingSequence(HarmonicTail(2, F(1, 2)))
     fs = factorizations(inc, F(15, 8))
     assert fs.complete and [f.parts for f in fs.items] == [((F(15, 8), 1),)]
+
+
+def _random_lists(rng, count):
+    for _ in range(count):
+        k = rng.randint(0, 5)
+        if rng.random() < 0.5:
+            gens = [F(rng.randint(1, 12), rng.randint(1, 6)) for _ in range(k)]
+            x = F(rng.randint(0, 36), rng.choice([1, 2, 3, 6]))
+        else:
+            gens = [rng.randint(1, 15) for _ in range(k)]
+            x = rng.randint(0, 40)
+        yield gens, x
+
+
+def test_combinations_match_naive_enumeration():
+    rng = random.Random(67)
+    cases = list(_random_lists(rng, 300))
+    cases += [([F(1, 2), 3], 0), ([], F(5, 2)), ([7, 9], 5), ([F(3, 4)], F(1, 2))]
+    for gens, x in cases:
+        walked = list(_combinations(gens, x, 10**6))
+        assert sorted(walked) == list(naive_factorization_parts(gens, x)), (gens, x)
+    assert list(_combinations([4, 6], 0, 1)) == [()]  # x == 0 spends no node
+    assert list(_combinations([7, 9], 5, 10**6)) == []  # no usable generator
+
+
+def test_combinations_partial_yields_under_small_budget():
+    rng = random.Random(71)
+    for gens, x in _random_lists(rng, 60):
+        full = set(_combinations(gens, x, 10**6))
+        for budget in (1, 3, 8, 20):
+            partial = []
+            try:
+                for parts in _combinations(gens, x, budget):
+                    partial.append(parts)
+            except BudgetError:
+                pass
+            assert len(partial) == len(set(partial)), (gens, x, budget)
+            assert set(partial) <= full
+            assert all(sum(g * c for g, c in parts) == x for parts in partial)
+
+
+def test_fg_factorizations_off_the_scale_lattice():
+    # x / scale is not an integer: nothing to walk, and that answer is complete
+    for spec, x in [
+        (FiniteGenerators([6, 9, 20]), F(7, 2)),
+        (FiniteGenerators([F(1, 2), F(1, 3)]), F(1, 7)),
+        (CantorShift(2), F(1, 27) + 3),
+    ]:
+        fs = factorizations(spec, x)
+        assert fs.items == () and fs.complete and fs.note is None, spec
+    fs = factorizations(FiniteGenerators([6, 9, 20]), 43)  # on the lattice, a gap
+    assert fs.items == () and fs.complete
+
+
+def test_node_budget_outcomes_of_factorizations_and_atoms():
+    fs = factorizations(PrimeReciprocalShift(None), F(15, 2), budget=3)
+    assert not fs.complete and fs.note == "node budget exhausted"
+    assert factorizations(PrimeReciprocalShift(None), F(15, 2)).complete
+    with pytest.raises(BudgetError):
+        atoms(IncreasingSequence(HarmonicTail(3, 1)), budget=1)
+

@@ -189,6 +189,18 @@ def test_unknown_reasons_are_machine_readable():
     assert res.reason["kind"] in {"generator_truncation", "node_budget"}
 
 
+def test_node_budget_outcomes_are_unknown():
+    # the walker and the prime-reciprocal search each spend the budget and say so
+    for spec, x in [
+        (IncreasingSequence(HarmonicTail(3, 1)), F(29, 10)),
+        (PrimeReciprocalShift(None), F(7, 2)),
+    ]:
+        res = spec_member(spec, x, budget=1)
+        assert res.status == Membership.UNKNOWN, spec
+        assert res.reason == {"kind": "node_budget", "node_budget": 1}
+        assert spec_member(spec, x).status == Membership.IN
+
+
 def test_geometric_below_one_out_by_denominator():
     assert spec_member(Geometric(F(2, 3)), F(1, 2)).status == Membership.OUT
     assert spec_member(Geometric(F(2, 3)), F(10, 9)).status in (Membership.IN, Membership.UNKNOWN)

@@ -5,31 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from puiseux.rationals import (
-    RatSetSummary,
-    format_rational,
-    parse_rational,
-    summarize,
-)
-
-
-def test_summarize():
-    assert summarize([Fraction(1, 2), Fraction(1, 3)]) == RatSetSummary(1, 6, frozenset({2, 3}))
-    assert summarize([Fraction(2, 3), Fraction(4, 9)]) == RatSetSummary(2, 9, frozenset({3, 9}))
-    assert summarize([Fraction(3), Fraction(6)]) == RatSetSummary(3, 1, frozenset({1}))
-    with pytest.raises(ValueError):
-        summarize([])
-    with pytest.raises(ValueError):
-        summarize([Fraction(1, 2), Fraction(-1)])
-
-
-def test_summarize_gcd_divides_every_numerator():
-    rng = random.Random(7)
-    for _ in range(100):
-        values = [Fraction(rng.randint(1, 60), rng.randint(1, 60)) for _ in range(rng.randint(1, 6))]
-        s = summarize(values)
-        assert all(v.numerator % s.numerator_gcd == 0 for v in values)
-        assert all(s.denominator_lcm % v.denominator == 0 for v in values)
+from puiseux.rationals import format_rational, parse_rational
 
 
 def test_parse_rational_accepts_canonical_forms():
