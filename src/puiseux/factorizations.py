@@ -6,7 +6,8 @@ number of parts counted with multiplicity.  Membership, the atom filter
 and factorizations all walk one search, ``families._combinations``: atoms
 descending, each multiplicity from floor(remaining / atom) down, with a
 denominator prune and a memo of dead states.  Factorizations of a finitely
-generated family walk the integer minimal generators of its canonical form.
+generated family walk the integer minimal generators of its canonical form;
+the prime-reciprocal family names the finitely many atoms that x allows.
 
 Atomicity verdicts follow the family table.  A family's declared
 ``atom_row`` comes first:
@@ -194,7 +195,8 @@ def factorizations(
 
     Complete whenever the atoms below x form a computable finite set (finite
     generator lists, ascending streams below their limit, prime-reciprocal
-    families); otherwise the result is flagged partial.  Antimatter and
+    families); otherwise the result is flagged partial.  A spent node budget
+    keeps the factorizations found so far, flagged partial.  Antimatter and
     unknown-atom families are errors.
     """
     q = require_nonnegative(x, what="element")
@@ -209,32 +211,31 @@ def factorizations(
     if row == "distinct-prime-powers":
         raise ValueError("infinitely many atoms below any positive bound; no complete enumeration")
 
-    try:
-        own = spec.factorizations(q, budget)  # a family with an exact search of its own
-    except BudgetError:
-        return FactorizationSet(q, (), complete=False, note=_BUDGET_NOTE)
-    if own is not None:
-        items = sorted(map(Factorization, own), key=lambda f: f.parts)
-        return FactorizationSet(q, tuple(items), complete=True)
-
-    cf = canonical_fg(spec)
-    if cf is not None:
-        # Walk the integer minimal generators of the canonical form towards
-        # x / scale, then scale the parts back.
-        t = q / cf.scale
-        if t.denominator != 1:
-            return FactorizationSet(q, (), complete=True)
-        gens, target, scale, atoms_complete = cf.nm.minimal_generators, t.numerator, cf.scale, True
-    else:
-        depth = depth_for_complete(spec, q)
-        stream = generator_stream(spec, _ATOM_DEPTH_CAP if depth is None else depth)
-        gens = _increasing_filter([g for g in stream if g <= q], budget)
-        target, scale, atoms_complete = q, 1, depth is not None
-    note = None if atoms_complete else "atom truncation: infinitely many atoms at or below x"
+    walk = spec.factorizations(q, budget)  # a family that names its own finite walk
+    note = None
+    if walk is None:
+        cf = canonical_fg(spec)
+        if cf is not None:
+            # Walk the integer minimal generators of the canonical form towards
+            # x / scale, then scale the parts back.
+            t = q / cf.scale
+            if t.denominator != 1:
+                return FactorizationSet(q, (), complete=True)
+            gens, target, scale = cf.nm.minimal_generators, t.numerator, cf.scale
+        else:
+            depth = depth_for_complete(spec, q)
+            stream = generator_stream(spec, _ATOM_DEPTH_CAP if depth is None else depth)
+            gens = _increasing_filter([g for g in stream if g <= q], budget)
+            target, scale = q, 1
+            if depth is None:
+                note = "atom truncation: infinitely many atoms at or below x"
+        walk = (
+            tuple((scale * a, c) for a, c in parts) for parts in _combinations(gens, target, budget)
+        )
     found = []
     try:
-        for parts in _combinations(gens, target, budget):
-            found.append(Factorization(tuple((scale * a, c) for a, c in parts)))
+        for parts in walk:
+            found.append(Factorization(parts))
     except BudgetError:
         note = note or _BUDGET_NOTE  # keep what the walk found
     items = tuple(sorted(found, key=lambda f: f.parts))

@@ -110,8 +110,9 @@ class Family:
       Cantor lattice), ``conductor_row`` ("R1", "R4" or "R5", the last
       with ``conductor_reason``), ``atom_row`` ("antimatter", "unknown",
       or why every generator is an atom), and ``decide(q, budget)`` and
-      ``factorizations(q, budget)`` for a family with an exact search of
-      its own;
+      ``factorizations(q, budget)`` for a family that names, for each q,
+      a finite generator set that is exact for q: ``_combinations`` walks
+      it, and ``factorizations`` returns the walk's iterator;
     * ``simplest()``: the simplest catalog description of the same monoid;
     * its wire form: ``variant``, ``wire()`` and ``from_wire(obj)``, whose
       keys are the dataclass fields.
@@ -144,7 +145,9 @@ class Family:
     def decide(self, q: Fraction, budget: int) -> MembershipResult | None:
         return None
 
-    def factorizations(self, q: Fraction, budget: int, first_only: bool = False) -> list | None:
+    def factorizations(
+        self, q: Fraction, budget: int
+    ) -> Iterator[tuple[tuple[Fraction, int], ...]] | None:
         return None
 
     def simplest(self) -> Family:
@@ -497,9 +500,10 @@ class PrimeReciprocalShift(Family):
 
     ``prime_bound`` None means all primes; an integer P keeps only p <= P,
     which makes the monoid finitely generated.  Every generator lies in
-    [1, 2), below the least two-part sum, so every generator is an atom;
-    membership and factorizations have their own exact search
-    (``prime_reciprocal_solutions``).
+    [1, 2), below the least two-part sum, so every generator is an atom.
+    Membership and factorizations walk ``_combinations`` over the finitely
+    many generators that x's denominator and size allow, bounded or not
+    (``decide``, ``prime_reciprocal_solutions``).
     """
 
     prime_bound: int | None
@@ -536,24 +540,21 @@ class PrimeReciprocalShift(Family):
     def decide(self, q: Fraction, budget: int) -> MembershipResult:
         if q < self.floor:
             return MembershipResult(Membership.OUT)  # every nonzero element is >= 1
+        # p copies of 1 + 1/p make p + 1 ones, so some factorization keeps each
+        # multiplicity below p, and each prime it uses then divides den(q).
+        gens = _reciprocal_shifts(sequences.factorize(q.denominator), self.prime_bound)
         try:
-            found = self.factorizations(q, budget, first_only=True)
+            found = next(_combinations(gens, q, budget), None)
         except BudgetError:
             return MembershipResult(
                 Membership.UNKNOWN, reason={"kind": "node_budget", "node_budget": budget}
             )
-        if not found:
+        if found is None:
             return MembershipResult(Membership.OUT)
-        return MembershipResult(Membership.IN, certificate=found[0][::-1])  # atoms ascending
+        return MembershipResult(Membership.IN, certificate=found[::-1])  # atoms ascending
 
-    def factorizations(self, q: Fraction, budget: int, first_only: bool = False) -> list:
-        """Factorizations of q, each with atoms descending: 1 + 1/p for p
-        ascending, then 1.  Raises BudgetError past the node budget."""
-        out = []
-        for ones, primes in prime_reciprocal_solutions(q, self.prime_bound, budget, first_only):
-            parts = [(1 + Fraction(1, p), primes.count(p)) for p in sorted(set(primes))]
-            out.append(tuple(parts + [(Fraction(1), ones)] if ones else parts))
-        return out
+    def factorizations(self, q: Fraction, budget: int) -> Iterator[tuple[tuple[Fraction, int], ...]]:
+        return prime_reciprocal_solutions(q, self.prime_bound, budget)
 
     def wire(self) -> dict:
         return {"prime_bound": "all" if self.prime_bound is None else self.prime_bound}
@@ -903,73 +904,33 @@ def _combinations(
             return
 
 
+def _reciprocal_shifts(primes: Iterable[int], prime_bound: int | None) -> list[Fraction]:
+    """1 and 1 + 1/p for each of the primes that is at most ``prime_bound``."""
+    kept = (p for p in primes if prime_bound is None or p <= prime_bound)
+    return [Fraction(1), *(1 + Fraction(1, p) for p in kept)]
+
+
 def prime_reciprocal_solutions(
     x: Fraction,
     prime_bound: int | None,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    first_only: bool = False,
-) -> list[tuple[int, tuple[int, ...]]]:
-    """All ways to write x = ones + sum of (1 + 1/p) over a prime multiset.
+) -> Iterator[tuple[tuple[Fraction, int], ...]]:
+    """Every factorization of x into 1 and the atoms 1 + 1/p, p <= prime_bound.
 
-    Returns (ones_count, primes) pairs; primes nondecreasing.  The search is
-    exhaustive and finite: with t shifted parts the reciprocals sum to
-    x - t - ones, which caps every prime range.  Raises BudgetError when the
-    node budget runs out.
+    Yields (atom, multiplicity) parts, atoms descending: 1 + 1/p for p
+    ascending, then 1.  A prime whose multiplicity is prime to p divides
+    den(x); one with a multiplicity of at least p has p + 1 <= x.  So
+    ``_combinations`` over the primes p | den(x) and p <= floor(x) - 1 finds
+    them all.  Raises BudgetError when the node budget runs out, and before
+    listing more primes than the budget has nodes.
     """
-    solutions: list[tuple[int, tuple[int, ...]]] = []
-    nodes = 0
-
-    def spend() -> None:
-        nonlocal nodes
-        nodes += 1
-        if nodes > node_budget:
-            raise BudgetError("prime-reciprocal search exceeded node budget", node_budget=node_budget)
-
-    def sums(y: Fraction, parts: int, min_prime: int) -> Iterator[tuple[int, ...]]:
-        # Every multiset of exactly ``parts`` primes >= min_prime, nondecreasing,
-        # whose reciprocals sum to y.  Each prime p has 1/p <= y and p <= parts / y;
-        # a reciprocal sum's denominator divides the product of its distinct
-        # primes, so it must be squarefree over primes inside the range.
-        spend()
-        if parts == 0:
-            if y == 0:
-                yield ()
-            return
-        if y <= 0:
-            return
-        hi = int(parts / y)
-        if prime_bound is not None:
-            hi = min(hi, prime_bound)
-        for p, e in sequences.factorize(y.denominator).items():
-            if e > 1 or p < min_prime or (prime_bound is not None and p > prime_bound):
-                return
-        lo = max(min_prime, -(-y.denominator // y.numerator))  # 1/p <= y
-        for p in sequences.primes_in_range(lo, hi):
-            spend()
-            for rest in sums(y - Fraction(1, p), parts - 1, p):
-                yield (p,) + rest
-
-    top = int(x)
-    for t in range(top + 1):
-        for ones in range(top - t + 1):
-            y = x - t - ones
-            if y < 0:
-                break
-            if y > Fraction(t, 2):
-                continue
-            if t == 0:
-                if y == 0:
-                    solutions.append((ones, ()))
-                    if first_only:
-                        return solutions
-                continue
-            if y == 0:
-                continue  # t positive parts cannot sum to zero
-            for primes in sums(y, t, 2):
-                solutions.append((ones, primes))
-                if first_only:
-                    return solutions
-    return solutions
+    top = x.numerator // x.denominator - 1
+    if prime_bound is not None:
+        top = min(top, prime_bound)
+    if top > node_budget:
+        raise BudgetError("prime-reciprocal search exceeded node budget", node_budget=node_budget)
+    primes = set(sequences.factorize(x.denominator)).union(sequences.primes_upto(top))
+    yield from _combinations(_reciprocal_shifts(primes, prime_bound), x, node_budget)
 
 
 def spec_member(

@@ -33,9 +33,12 @@ _PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
 def _grow_primes() -> None:
     candidate = _PRIMES[-1] + 2
     while True:
-        if all(candidate % p for p in _PRIMES if p * p <= candidate):
-            _PRIMES.append(candidate)
-            return
+        for p in _PRIMES:
+            if p * p > candidate:
+                _PRIMES.append(candidate)
+                return
+            if candidate % p == 0:
+                break
         candidate += 2
 
 
@@ -61,19 +64,6 @@ def primes_upto(bound: int) -> list[int]:
         if p > bound:
             return out
         out.append(p)
-
-
-def primes_in_range(lo: int, hi: int) -> list[int]:
-    """Primes p with lo <= p <= hi, from the shared cache."""
-    import bisect
-
-    if hi < lo or hi < 2:
-        return []
-    while _PRIMES[-1] < hi:
-        _grow_primes()
-    a = bisect.bisect_left(_PRIMES, lo)
-    b = bisect.bisect_right(_PRIMES, hi)
-    return _PRIMES[a:b]
 
 
 def is_prime(n: int) -> bool:

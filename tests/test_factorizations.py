@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -19,10 +20,12 @@ from puiseux.families import (
     Geometric,
     HarmonicTail,
     IncreasingSequence,
+    Membership,
     PrimeReciprocalShift,
     UnitFractionPowers,
     _combinations,
     canonicalize,
+    spec_member,
 )
 from puiseux.oracle import enumerate_monoid, naive_atoms, naive_factorization_parts
 
@@ -186,6 +189,47 @@ def test_prime_reciprocal_factorizations_complete():
     assert fs2.complete and [f.parts for f in fs2.items] == [((F(3, 2), 1), (F(1), 1))]
 
 
+def test_prime_reciprocal_factorizations_match_naive_enumeration():
+    # 1 and 1 + 1/p for p <= 29 are every atom that an x <= 7 with a
+    # squarefree denominator <= 30 can use: a prime's multiplicity is
+    # either prime to p (then p divides the denominator) or at least p
+    # (then p + 1 <= x).  The naive oracle walks them all, unpruned.
+    rng = random.Random(83)
+    dens = [d for d in range(1, 31) if all(d % (p * p) for p in (2, 3, 5))]
+    xs = set()
+    while len(xs) < 30:
+        d = rng.choice(dens)
+        x = F(rng.randint(0, 6)) + F(rng.randrange(d), d)
+        if 0 < x <= 7:
+            xs.add(x)
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    for bound in (None, 2, 5, 13):
+        kept = [p for p in primes if bound is None or p <= bound]
+        atom_list = [F(1)] + [1 + F(1, p) for p in kept]
+        spec = PrimeReciprocalShift(bound)
+        for x in sorted(xs):
+            want = set(naive_factorization_parts(atom_list, x))
+            fs = factorizations(spec, x)
+            assert fs.complete and {f.parts for f in fs.items} == want, (bound, x)
+            status = spec_member(spec, x).status
+            assert status == (Membership.IN if want else Membership.OUT), (bound, x)
+
+
+def test_prime_reciprocal_large_x_is_bounded():
+    spec = PrimeReciprocalShift(None)
+    start = time.perf_counter()
+    x = F(2 * 10**6 + 1, 2)
+    res = spec_member(spec, x)
+    assert res.status == Membership.IN
+    assert sum(a * c for a, c in res.certificate) == x
+    fs = factorizations(spec, 10**9)  # more primes below x than nodes in the budget
+    assert not fs.complete and fs.note == "node budget exhausted" and fs.items == ()
+    fs = factorizations(spec, F(81, 2))
+    assert fs.complete and fs.items
+    assert all(f.value == F(81, 2) for f in fs.items)
+    assert time.perf_counter() - start < 5
+
+
 def test_partial_results_are_flagged():
     inc = IncreasingSequence(HarmonicTail(2, F(1, 2)))
     fs = factorizations(inc, F(7, 2), budget=100_000)
@@ -254,9 +298,17 @@ def test_fg_factorizations_off_the_scale_lattice():
 
 
 def test_node_budget_outcomes_of_factorizations_and_atoms():
-    fs = factorizations(PrimeReciprocalShift(None), F(15, 2), budget=3)
+    x = F(15, 2)
+    fs = factorizations(PrimeReciprocalShift(None), x, budget=3)
     assert not fs.complete and fs.note == "node budget exhausted"
-    assert factorizations(PrimeReciprocalShift(None), F(15, 2)).complete
+    assert all(f.value == x for f in fs.items)
+    full = factorizations(PrimeReciprocalShift(None), x)
+    assert full.complete
+    # a budget spent inside the walk keeps what it found
+    fs = factorizations(PrimeReciprocalShift(None), x, budget=20)
+    assert not fs.complete and fs.note == "node budget exhausted"
+    assert fs.items and set(fs.items) < set(full.items)
+    assert all(f.value == x for f in fs.items)
     with pytest.raises(BudgetError):
         atoms(IncreasingSequence(HarmonicTail(3, 1)), budget=1)
 

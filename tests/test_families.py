@@ -33,6 +33,7 @@ from puiseux.families import (
     spec_to_dict,
 )
 from puiseux.oracle import enumerate_monoid
+from puiseux.sequences import primes_upto
 
 
 def test_canonicalize_examples():
@@ -344,11 +345,24 @@ def test_spec_dict_shapes():
 
 
 def test_prime_reciprocal_solutions_reach_deep_primes():
-    # the smallest prime at each level is range-bounded, but later primes are
-    # not: 2 + (1 + 1/2) + (1 + 1/1009) must still be found
+    # 1009 divides the denominator, so the walk reaches it although it lies
+    # far above x: 2 + (1 + 1/2) + (1 + 1/1009) must still be found
     x = F(2) + F(1, 2) + F(1, 1009)
-    sols = prime_reciprocal_solutions(x, None)
-    assert any(set(p) == {2, 1009} for _, p in sols)
+    sols = list(prime_reciprocal_solutions(x, None))
+    assert ((F(3, 2), 1), (F(1010, 1009), 1)) in sols
+
+
+def test_primes_upto_matches_a_sieve_quickly():
+    n = 200_000
+    sieve = bytearray([1]) * (n + 1)
+    sieve[:2] = b"\x00\x00"
+    for p in range(2, int(n**0.5) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytearray(len(range(p * p, n + 1, p)))
+    start = time.perf_counter()
+    primes = primes_upto(n)
+    assert time.perf_counter() - start < 2
+    assert primes == [p for p in range(n + 1) if sieve[p]]
 
 
 def test_prime_reciprocal_membership_matches_enumeration():
